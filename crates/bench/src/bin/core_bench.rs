@@ -15,7 +15,7 @@
 //! baseline configuration and once under IPEX(both) — on a single
 //! thread, one fresh [`Machine`] per point, under the paper's default
 //! RFHome trace. The best pass's `cycles/sec` is appended to
-//! `BENCH_core.json` with the same append/migrate discipline as
+//! `BENCH_core.json` with the same atomic append discipline as
 //! `BENCH_sweep.json`, so engine throughput is tracked over time.
 //!
 //! Every record carries an FNV-1a digest of the canonical JSON of all
@@ -53,19 +53,18 @@ struct CoreRecord {
     digest: String,
 }
 
-/// Decodes one record; unrecognizable entries are dropped (the log is
-/// advisory). New shapes migrate here, mirroring `BENCH_sweep.json`.
-fn migrate_record(c: &serde::Content) -> Option<CoreRecord> {
-    CoreRecord::from_content(c).ok()
-}
-
+/// Loads the trajectory; unrecognizable entries are dropped (the log is
+/// advisory).
 fn load_records(path: &str) -> Vec<CoreRecord> {
     std::fs::read_to_string(path)
         .ok()
         .and_then(|text| serde_json::from_str::<serde::Content>(&text).ok())
         .and_then(|c| {
-            c.as_seq()
-                .map(|s| s.iter().filter_map(migrate_record).collect())
+            c.as_seq().map(|s| {
+                s.iter()
+                    .filter_map(|c| CoreRecord::from_content(c).ok())
+                    .collect()
+            })
         })
         .unwrap_or_default()
 }
@@ -74,7 +73,7 @@ fn append_record(path: &str, record: CoreRecord) {
     let mut records = load_records(path);
     records.push(record);
     let json = serde_json::to_string_pretty(&records).expect("serialise core bench records");
-    std::fs::write(path, json).expect("write core bench trajectory");
+    ehs_bench::write_atomic(std::path::Path::new(path), json).expect("write core bench trajectory");
     println!("[core record appended to {path}]");
 }
 

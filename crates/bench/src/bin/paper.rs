@@ -27,9 +27,12 @@
 //! union is deduplicated by content-addressed key and each unique point
 //! is simulated exactly once (asserted), with previously cached points
 //! loaded from `results/.cache/`. Rendering then reuses the memoized
-//! results, so every `results/*.json` is byte-identical to what the
-//! standalone per-figure binaries produce. Each run appends a record to
-//! `BENCH_sweep.json` so cold-vs-warm wall-clock is tracked over time.
+//! results, so every `results/*.json` is byte-identical whether its
+//! points were simulated, loaded from the cache, or shared with other
+//! figures. This is the only figure entry point: `--only
+//! fig10_speedup_baseline` (or `--only fig10`) renders one figure. Each
+//! run appends a record to `BENCH_sweep.json` so cold-vs-warm
+//! wall-clock is tracked over time.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -70,156 +73,6 @@ struct BenchRecord {
     slices: u64,
     /// Whether this was a `--sampled` (SMARTS-mode) run.
     sampled: bool,
-}
-
-/// The record shape between the `--stats` mode and sliced/sampled
-/// execution. Those runs were monolithic: `slices` migrates to 1 and
-/// `sampled` to false.
-#[derive(Deserialize)]
-struct BenchRecordV2 {
-    unix_ms: u64,
-    wall_ms: u64,
-    jobs: u64,
-    cache_enabled: bool,
-    figures: u64,
-    requested: u64,
-    unique_points: u64,
-    simulated: u64,
-    disk_hits: u64,
-    memo_hits: u64,
-    in_flight_waits: u64,
-    checkpoint_every_cycles: u64,
-    resumed: u64,
-    cycles_simulated: Option<u64>,
-    stats_seeds: Option<u64>,
-    stats_seed_base: Option<u64>,
-}
-
-/// The record shape between cycle accounting and the `--stats` Monte
-/// Carlo mode. The stats fields migrate to `None` — those runs were
-/// plain renders.
-#[derive(Deserialize)]
-struct BenchRecordV1 {
-    unix_ms: u64,
-    wall_ms: u64,
-    jobs: u64,
-    cache_enabled: bool,
-    figures: u64,
-    requested: u64,
-    unique_points: u64,
-    simulated: u64,
-    disk_hits: u64,
-    memo_hits: u64,
-    in_flight_waits: u64,
-    checkpoint_every_cycles: u64,
-    resumed: u64,
-    cycles_simulated: Option<u64>,
-}
-
-/// The record shape before the checkpoint counters existed. Old entries
-/// migrate instead of wiping the history: the checkpoint counters were
-/// truly zero then (the feature did not exist), while the cycle count —
-/// which the run did burn but never measured — migrates to "unknown"
-/// via [`fixup_unknown_cycles`].
-#[derive(Deserialize)]
-struct BenchRecordV0 {
-    unix_ms: u64,
-    wall_ms: u64,
-    jobs: u64,
-    cache_enabled: bool,
-    figures: u64,
-    requested: u64,
-    unique_points: u64,
-    simulated: u64,
-    disk_hits: u64,
-    memo_hits: u64,
-    in_flight_waits: u64,
-}
-
-/// Decodes one bench-log entry, trying shapes newest-first;
-/// unrecognizable entries are dropped (the log is advisory).
-fn migrate_record(c: &serde::Content) -> Option<BenchRecord> {
-    if let Ok(r) = BenchRecord::from_content(c) {
-        return Some(fixup_unknown_cycles(r));
-    }
-    if let Ok(v2) = BenchRecordV2::from_content(c) {
-        return Some(fixup_unknown_cycles(BenchRecord {
-            unix_ms: v2.unix_ms,
-            wall_ms: v2.wall_ms,
-            jobs: v2.jobs,
-            cache_enabled: v2.cache_enabled,
-            figures: v2.figures,
-            requested: v2.requested,
-            unique_points: v2.unique_points,
-            simulated: v2.simulated,
-            disk_hits: v2.disk_hits,
-            memo_hits: v2.memo_hits,
-            in_flight_waits: v2.in_flight_waits,
-            checkpoint_every_cycles: v2.checkpoint_every_cycles,
-            resumed: v2.resumed,
-            cycles_simulated: v2.cycles_simulated,
-            stats_seeds: v2.stats_seeds,
-            stats_seed_base: v2.stats_seed_base,
-            slices: 1,
-            sampled: false,
-        }));
-    }
-    if let Ok(v1) = BenchRecordV1::from_content(c) {
-        return Some(fixup_unknown_cycles(BenchRecord {
-            unix_ms: v1.unix_ms,
-            wall_ms: v1.wall_ms,
-            jobs: v1.jobs,
-            cache_enabled: v1.cache_enabled,
-            figures: v1.figures,
-            requested: v1.requested,
-            unique_points: v1.unique_points,
-            simulated: v1.simulated,
-            disk_hits: v1.disk_hits,
-            memo_hits: v1.memo_hits,
-            in_flight_waits: v1.in_flight_waits,
-            checkpoint_every_cycles: v1.checkpoint_every_cycles,
-            resumed: v1.resumed,
-            cycles_simulated: v1.cycles_simulated,
-            stats_seeds: None,
-            stats_seed_base: None,
-            slices: 1,
-            sampled: false,
-        }));
-    }
-    let old = BenchRecordV0::from_content(c).ok()?;
-    Some(fixup_unknown_cycles(BenchRecord {
-        unix_ms: old.unix_ms,
-        wall_ms: old.wall_ms,
-        jobs: old.jobs,
-        cache_enabled: old.cache_enabled,
-        figures: old.figures,
-        requested: old.requested,
-        unique_points: old.unique_points,
-        simulated: old.simulated,
-        disk_hits: old.disk_hits,
-        memo_hits: old.memo_hits,
-        in_flight_waits: old.in_flight_waits,
-        checkpoint_every_cycles: 0,
-        resumed: 0,
-        cycles_simulated: Some(0),
-        stats_seeds: None,
-        stats_seed_base: None,
-        slices: 1,
-        sampled: false,
-    }))
-}
-
-/// Repairs records whose `cycles_simulated` predates cycle accounting.
-/// A run that simulated at least one point necessarily burned cycles,
-/// so `simulated > 0` with a zero (or V0-migrated) cycle count is a
-/// provably-false value; it becomes `None` ("unknown") rather than
-/// keeping the lie in the log. A zero alongside `simulated == 0` is a
-/// genuine all-cache-hit run and is kept.
-fn fixup_unknown_cycles(mut r: BenchRecord) -> BenchRecord {
-    if r.simulated > 0 && r.cycles_simulated == Some(0) {
-        r.cycles_simulated = None;
-    }
-    r
 }
 
 fn usage() -> ! {
@@ -416,19 +269,23 @@ fn main() {
 }
 
 /// Appends one record to the JSON array in `path` (creating it if
-/// missing; an unreadable file is replaced rather than crashing the
-/// run, since the benchmark log is advisory).
+/// missing; an unreadable file or entry is dropped rather than crashing
+/// the run, since the benchmark log is advisory). The rewrite is atomic,
+/// so a killed run cannot tear the log.
 fn append_bench_record(path: &str, record: BenchRecord) {
     let mut records: Vec<BenchRecord> = std::fs::read_to_string(path)
         .ok()
         .and_then(|text| serde_json::from_str::<serde::Content>(&text).ok())
         .and_then(|c| {
-            c.as_seq()
-                .map(|s| s.iter().filter_map(migrate_record).collect())
+            c.as_seq().map(|s| {
+                s.iter()
+                    .filter_map(|c| BenchRecord::from_content(c).ok())
+                    .collect()
+            })
         })
         .unwrap_or_default();
     records.push(record);
     let json = serde_json::to_string_pretty(&records).expect("serialise bench records");
-    std::fs::write(path, json).expect("write BENCH_sweep.json");
+    ehs_bench::write_atomic(Path::new(path), json).expect("write BENCH_sweep.json");
     println!("[bench record appended to {path}]");
 }

@@ -7,10 +7,10 @@
 //! the union of all figures and simulate each unique point exactly once
 //! — and [`Figure::render`], which pulls those (now memoized) results
 //! back out of the engine, prints the paper's rows, and writes
-//! `results/<file_id>.json`. The historical one-figure binaries call
-//! [`run_standalone`], which runs the same implementation against a
-//! private in-memory engine, so both paths produce byte-identical
-//! output.
+//! `results/<file_id>.json`. `paper --only <id>` renders one figure;
+//! rendering against a fresh in-memory engine instead of `paper`'s
+//! disk-cached one produces byte-identical output
+//! (`tests/golden_fig10.rs`).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -150,8 +150,7 @@ impl RenderCx<'_> {
         self.sweep.suite(cfg, trace)
     }
 
-    /// Writes `<out_dir>/<file_id>.json` exactly like the historical
-    /// binaries did.
+    /// Writes `<out_dir>/<file_id>.json`.
     pub fn write<T: Serialize>(&self, file_id: &str, rows: &T) {
         crate::write_results_to(&self.out_dir, file_id, rows);
     }
@@ -193,19 +192,6 @@ pub fn by_id(id: &str) -> Option<&'static dyn Figure> {
         .iter()
         .find(|f| f.id() == id || f.file_id() == id)
         .copied()
-}
-
-/// Runs one figure the way its historical standalone binary did: a
-/// private in-memory engine, results into `results/`.
-///
-/// # Panics
-///
-/// Panics if `id` names no registered figure or a simulation fails.
-pub fn run_standalone(id: &str) {
-    let fig = by_id(id).unwrap_or_else(|| panic!("no figure with id `{id}`"));
-    let sweep = Sweep::in_memory();
-    let cx = RenderCx::new(&sweep);
-    fig.render(&cx);
 }
 
 /// The default power environment of §6 (synthetic RFHome).

@@ -1,20 +1,20 @@
 //! # ehs-bench — the experiment harness
 //!
 //! The paper is regenerated by **one** process:
-//! `cargo run --release -p ehs-bench --bin paper` registers all 24
+//! `cargo run --release -p ehs-bench --bin paper` registers all 26
 //! tables/figures (see `DESIGN.md` §4), collects the union of the
 //! simulation points they need, simulates each *unique* point exactly
 //! once on the content-addressed [`sweep`] engine, and renders every
-//! artefact into `results/`. The historical per-figure binaries
-//! (`--bin fig10`, …) still exist as thin shims over the same figure
-//! definitions and produce byte-identical output.
+//! artefact into `results/`. `paper --only <id>` renders a single
+//! figure; it is the only figure entry point.
 //!
 //! This library holds the shared machinery: the [`sweep`] engine, the
 //! [`figures`] registry, and the statistics/IO helpers (geometric
 //! means, speedup tables, JSON emission) everything renders with.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use ehs_energy::{PowerTrace, TraceSpec};
@@ -26,8 +26,6 @@ use serde::Serialize;
 pub mod figures;
 pub mod monte;
 pub mod sampled;
-#[cfg(unix)]
-pub mod service;
 pub mod slice;
 pub mod stats;
 pub mod sweep;
@@ -129,19 +127,39 @@ pub fn run_one_checkpointed(
     }
 }
 
-/// Atomically persists a snapshot to `path` (write to a temp file in
-/// the same directory, then rename), creating parent directories as
-/// needed. Best-effort: a full disk loses the checkpoint, not the run.
+/// Atomically persists a snapshot to `path` via [`write_atomic`].
+/// Best-effort: a full disk loses the checkpoint, not the run.
 pub fn write_checkpoint(path: &Path, snap: &ehs_sim::Snapshot) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() && std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
+    let _ = write_atomic(path, snap.to_json());
+}
+
+/// Replaces `path` with `bytes` so that a reader sees either the old
+/// content or the new, never a torn mix: the bytes go to a temp file in
+/// the same directory, which is then renamed over `path`. Creates the
+/// parent directory if needed; on error the temp file is removed.
+///
+/// # Errors
+///
+/// Any I/O error creating the directory, writing, or renaming.
+pub fn write_atomic(path: &Path, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
     }
-    let tmp = path.with_extension("json.tmp");
-    if std::fs::write(&tmp, snap.to_json()).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
+    // Unique per process and call, so concurrent writers never share a
+    // temp file.
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    written
 }
 
 /// Unwraps a simulation outcome, panicking with the harness's standard
@@ -216,12 +234,12 @@ pub fn speedups(
 }
 
 /// Writes an experiment's rows as pretty JSON to `<dir>/<id>.json`
-/// (creating the directory if needed) and reports the path.
+/// (creating the directory if needed, via [`write_atomic`]) and reports
+/// the path.
 pub fn write_results_to<T: Serialize>(dir: &Path, id: &str, rows: &T) {
-    std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(format!("{id}.json"));
     let json = serde_json::to_string_pretty(rows).expect("serialise results");
-    std::fs::write(&path, json).expect("write results file");
+    write_atomic(&path, json).expect("write results file");
     println!("[results written to {}]", path.display());
 }
 
@@ -287,6 +305,31 @@ mod tests {
     #[test]
     fn pct_formatting() {
         assert_eq!(pct(0.0896), "8.96%");
+    }
+
+    #[test]
+    fn write_atomic_replaces_creates_parent_and_leaves_no_temp() {
+        let root = std::env::temp_dir().join(format!("ehs-write-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("missing").join("parent");
+        let path = dir.join("log.json");
+        write_atomic(&path, "old content, longer than the new").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "old content, longer than the new"
+        );
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["log.json"], "a temp file was left behind");
+        // A failed rename (the target is a directory) cleans up too.
+        assert!(write_atomic(&dir, "x").is_err());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(std::fs::read_dir(dir.parent().unwrap()).unwrap().count(), 1);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -223,17 +223,10 @@ pub(crate) fn load_plan(path: &Path, cfg: &SimConfig) -> Option<SlicePlan> {
     matches.then_some(plan)
 }
 
-/// Persists a plan write-then-rename (best-effort, like the result
-/// cache: a full disk loses the cache, not the run).
+/// Persists a plan via [`crate::write_atomic`] (best-effort, like the
+/// result cache: a full disk loses the cache, not the run).
 pub(crate) fn store_plan(path: &Path, plan: &SlicePlan) {
-    let Some(dir) = path.parent() else { return };
-    if !dir.as_os_str().is_empty() && std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let tmp = path.with_extension("json.tmp");
-    if std::fs::write(&tmp, plan.to_json()).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
+    let _ = crate::write_atomic(path, plan.to_json());
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 //! Every headline number in `EXPERIMENTS.md` historically rested on a
 //! single synthetic trace seed; this module turns those point estimates
 //! into distributions. It is built around one hard requirement, which
-//! the sweep service's sharding imposes: **merge- and order-invariance
+//! the sweep engine's worker pool imposes: **merge- and order-invariance
 //! down to the bit**. Seed batches arrive from many workers in
-//! nondeterministic order and may be split across processes, yet
-//! repeated runs must publish byte-identical figure JSON.
+//! nondeterministic order and may be split across runs, yet repeated
+//! runs must publish byte-identical figure JSON.
 //!
 //! The [`Accumulator`] achieves that by refusing to fold floats as they
 //! arrive. It stores `(tag, value)` pairs in a `BTreeMap` keyed by tag

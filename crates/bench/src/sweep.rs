@@ -256,8 +256,8 @@ impl Sweep {
         }
     }
 
-    /// An engine with no on-disk persistence — what the per-figure shim
-    /// binaries and tests use.
+    /// An engine with no on-disk persistence — what [`crate::run_suite`]
+    /// and tests use.
     pub fn in_memory() -> Sweep {
         Sweep::new(SweepOptions::default())
     }
@@ -522,10 +522,6 @@ impl Sweep {
         let Some(path) = self.cache_path(key) else {
             return;
         };
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return; // caching is best-effort; the run still succeeds
-        }
         let entry = CacheEntry {
             salt: SIM_VERSION_SALT.to_owned(),
             key: key.to_string(),
@@ -534,12 +530,9 @@ impl Sweep {
             result: result.clone(),
         };
         let json = serde_json::to_string(&entry).expect("serialise cache entry");
-        // Write-then-rename so a crashed run can never leave a torn
-        // entry that a later run would half-parse.
-        let tmp = path.with_extension("json.tmp");
-        if std::fs::write(&tmp, json).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
+        // Atomic so a crashed run can never leave a torn entry that a
+        // later run would half-parse; best-effort, the run still succeeds.
+        let _ = crate::write_atomic(&path, json);
     }
 }
 

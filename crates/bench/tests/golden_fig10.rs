@@ -1,7 +1,7 @@
 //! The golden equivalence test behind the `paper` binary's promise:
-//! rendering fig10 the legacy way (standalone, in-memory engine), the
-//! `paper` way (points requested up front, disk cache, render from
-//! memo), and again warm from the cache must all produce byte-identical
+//! rendering fig10 on a fresh in-memory engine, the `paper` way (points
+//! requested up front, disk cache, render from memo), and again warm
+//! from the cache must all produce byte-identical
 //! `results/fig10_speedup_baseline.json` — and the engine's counters
 //! must prove each unique point was simulated exactly once (cold) and
 //! never (warm).
@@ -23,13 +23,14 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
     let fig = by_id("fig10").expect("fig10 registered");
     let file = format!("{}.json", fig.file_id());
 
-    // 1. Legacy path: what `--bin fig10_speedup_baseline` does.
-    let legacy_dir = tmp_dir("legacy");
+    // 1. In-memory engine: no disk cache, points resolved on demand
+    //    during rendering.
+    let memory_dir = tmp_dir("memory");
     {
         let sweep = Sweep::in_memory();
         let cx = RenderCx {
             sweep: &sweep,
-            out_dir: legacy_dir.clone(),
+            out_dir: memory_dir.clone(),
         };
         fig.render(&cx);
     }
@@ -82,13 +83,19 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
         assert!(s.disk_hits > 0, "{s:?}");
     }
 
-    let legacy = std::fs::read(legacy_dir.join(&file)).expect("legacy results");
+    let memory = std::fs::read(memory_dir.join(&file)).expect("in-memory results");
     let cold = std::fs::read(cold_dir.join(&file)).expect("cold results");
     let warm = std::fs::read(warm_dir.join(&file)).expect("warm results");
-    assert!(legacy == cold, "cold paper run diverged from legacy bytes");
-    assert!(legacy == warm, "warm paper run diverged from legacy bytes");
+    assert!(
+        memory == cold,
+        "cold paper run diverged from in-memory engine bytes"
+    );
+    assert!(
+        memory == warm,
+        "warm paper run diverged from in-memory engine bytes"
+    );
 
-    for d in [legacy_dir, cache_dir, cold_dir, warm_dir] {
+    for d in [memory_dir, cache_dir, cold_dir, warm_dir] {
         let _ = std::fs::remove_dir_all(d);
     }
 }

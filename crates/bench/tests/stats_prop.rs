@@ -1,7 +1,7 @@
 //! Property tests for the Monte Carlo statistics accumulator: arbitrary
 //! partitions of a sample set, merged in arbitrary orders, must reduce
 //! to **bit-identical** summaries — the invariant that lets the sweep
-//! service shard seed batches across workers and processes while the
+//! engine shard seed batches across workers and runs while the
 //! published figure JSON stays byte-stable.
 
 use ehs_bench::stats::{Accumulator, Summary};

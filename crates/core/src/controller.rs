@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 
+use ehs_mem::Persist;
 use serde::{Deserialize, Serialize};
 
 use crate::{IpexConfig, IpexRegisters};
@@ -52,8 +53,7 @@ impl IpexStats {
 
 /// Complete serializable state of an [`IpexController`] — configuration,
 /// adapted threshold ladder, registers, mode and the reissue queue.
-/// Produced by [`IpexController::export_state`], consumed by
-/// [`IpexController::import_state`].
+/// Produced and consumed through the controller's [`Persist`] impl.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IpexControllerState {
     /// Configuration the controller was built with.
@@ -258,10 +258,12 @@ impl IpexController {
         self.level = 0;
         self.mode = Mode::HighPerformance;
     }
+}
 
-    /// The complete internal state as a serializable value, for
-    /// snapshot/resume.
-    pub fn export_state(&self) -> IpexControllerState {
+impl Persist for IpexController {
+    type State = IpexControllerState;
+
+    fn export_state(&self) -> IpexControllerState {
         IpexControllerState {
             cfg: self.cfg,
             thresholds: self.thresholds.clone(),
@@ -274,14 +276,9 @@ impl IpexController {
         }
     }
 
-    /// Rebuilds a controller from state previously produced by
-    /// [`IpexController::export_state`].
-    ///
-    /// # Errors
-    ///
     /// Rejects a state whose threshold ladder length disagrees with its
     /// own configuration (a corrupted snapshot).
-    pub fn from_state(state: &IpexControllerState) -> Result<IpexController, String> {
+    fn from_state(state: &IpexControllerState) -> Result<IpexController, String> {
         state.cfg.validate();
         if state.thresholds.len() != state.cfg.threshold_count as usize {
             return Err(format!(

@@ -180,18 +180,6 @@ impl ThrottlePolicy for IpexController {
     }
 }
 
-impl Persist for IpexController {
-    type State = IpexControllerState;
-
-    fn export_state(&self) -> IpexControllerState {
-        IpexController::export_state(self)
-    }
-
-    fn from_state(state: &IpexControllerState) -> Result<IpexController, String> {
-        IpexController::from_state(state)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Static-degree family (related-work stand-ins)
 // ---------------------------------------------------------------------
@@ -1191,10 +1179,12 @@ impl AnyPolicy {
     pub fn adaptations(&self) -> u64 {
         delegate!(self, p => p.adaptations(), 0)
     }
+}
 
-    /// The complete state as a serializable value, for snapshot/resume
-    /// (inherent convenience for [`Persist::export_state`]).
-    pub fn export_state(&self) -> PolicyState {
+impl Persist for AnyPolicy {
+    type State = PolicyState;
+
+    fn export_state(&self) -> PolicyState {
         match self {
             AnyPolicy::Passthrough => PolicyState::Passthrough,
             AnyPolicy::Ipex(c) => PolicyState::Ipex(Box::new(Persist::export_state(&**c))),
@@ -1208,14 +1198,8 @@ impl AnyPolicy {
         }
     }
 
-    /// Rebuilds a policy from state previously produced by
-    /// [`AnyPolicy::export_state`] (inherent convenience for
-    /// [`Persist::from_state`]).
-    ///
-    /// # Errors
-    ///
     /// Propagates the underlying controller's validation error.
-    pub fn from_state(state: &PolicyState) -> Result<AnyPolicy, String> {
+    fn from_state(state: &PolicyState) -> Result<AnyPolicy, String> {
         Ok(match state {
             PolicyState::Passthrough => AnyPolicy::Passthrough,
             PolicyState::Ipex(s) => AnyPolicy::Ipex(Box::new(Persist::from_state(&**s)?)),
@@ -1227,18 +1211,6 @@ impl AnyPolicy {
             }
             PolicyState::StaticDegree(s) => AnyPolicy::StaticDegree(Persist::from_state(s)?),
         })
-    }
-}
-
-impl Persist for AnyPolicy {
-    type State = PolicyState;
-
-    fn export_state(&self) -> PolicyState {
-        AnyPolicy::export_state(self)
-    }
-
-    fn from_state(state: &PolicyState) -> Result<AnyPolicy, String> {
-        AnyPolicy::from_state(state)
     }
 }
 
