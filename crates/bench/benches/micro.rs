@@ -92,7 +92,7 @@ fn bench_dispatch(c: &mut Criterion) {
     use ehs_prefetch::InstPrefetcherKind;
 
     c.bench_function("dispatch/boxed_dyn_observe", |b| {
-        let mut p: Box<dyn Prefetcher> = InstPrefetcherKind::Sequential.build(2);
+        let mut p: Box<dyn Prefetcher> = Box::new(SequentialPrefetcher::new(2));
         let mut out = Vec::with_capacity(8);
         let mut pc = 0u32;
         b.iter(|| {

@@ -6,7 +6,7 @@
 use ehs_energy::CapacitorConfig;
 use ehs_mem::{NvmConfig, NvmTech, DEFAULT_NVM_BYTES};
 use ehs_sim::prelude::*;
-use ipex::IpexConfig;
+use ipex::{IpexConfig, PolicyConfig};
 
 use super::{base_cfg, ipex_both_cfg, rfhome, speedup_headline, suite_points};
 use super::{Figure, Headline, RenderCx};
@@ -87,12 +87,13 @@ impl Figure for Sensitivity {
     }
 }
 
-/// Applies an IPEX-parameter override to both modes of a configuration,
-/// leaving non-IPEX configurations (the baseline) untouched.
+/// Applies an IPEX-parameter override to every IPEX-throttled mode of a
+/// configuration, leaving other modes (the baseline) untouched.
 fn set_ipex(c: &mut SimConfig, ic: IpexConfig) {
-    if matches!(c.inst_mode, PrefetchMode::Ipex(_)) {
-        c.inst_mode = PrefetchMode::Ipex(ic);
-        c.data_mode = PrefetchMode::Ipex(ic);
+    for mode in [&mut c.inst_mode, &mut c.data_mode] {
+        if let PrefetchMode::Policy(PolicyConfig::Ipex(cfg)) = mode {
+            *cfg = ic;
+        }
     }
 }
 

@@ -6,6 +6,7 @@ use std::path::PathBuf;
 
 use ehs_bench::sweep::{SimPoint, Sweep, SweepOptions};
 use ehs_sim::prelude::*;
+use ipex::{IpexConfig, PolicyConfig};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ehs-sweep-{tag}-{}", std::process::id()));
@@ -26,7 +27,7 @@ fn tiny_point() -> SimPoint {
 
 /// The digest must not depend on how the configuration was built —
 /// explicit defaults, builder defaults, and the `Default` impl are the
-/// same point.
+/// same point, and so are the two ways of asking for IPEX.
 #[test]
 fn key_is_stable_across_construction_paths() {
     let via_builder = SimPoint::new(
@@ -41,6 +42,21 @@ fn key_is_stable_across_construction_paths() {
     let mut other = via_default.clone();
     other.config.max_cycles += 1;
     assert_ne!(via_default.key(), other.key());
+
+    // IPEX has one encoding: the `ipex()` shorthand and the explicit
+    // policy are the same point, and other IPEX parameters are not.
+    let point = |b: SimConfigBuilder| SimPoint::new("gsmd", b.build(), TraceSpec::default_rfhome());
+    let via_ipex = point(SimConfig::builder().ipex(Ipex::Both));
+    let via_policy = point(
+        SimConfig::builder()
+            .throttle_policy(Ipex::Both, PolicyConfig::Ipex(IpexConfig::paper_default())),
+    );
+    assert_eq!(via_ipex.key(), via_policy.key());
+    let tuned = point(SimConfig::builder().throttle_policy(
+        Ipex::Both,
+        PolicyConfig::Ipex(IpexConfig::with_threshold_count(3)),
+    ));
+    assert_ne!(via_ipex.key(), tuned.key());
 }
 
 /// Equivalent trace *specs* hash equal; different parameters don't.

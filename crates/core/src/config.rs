@@ -1,5 +1,7 @@
 //! IPEX configuration.
 
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of an [`IpexController`](crate::IpexController).
@@ -68,32 +70,68 @@ impl IpexConfig {
         }
     }
 
-    pub(crate) fn validate(&self) {
-        assert!(self.threshold_count >= 1, "need at least one threshold");
-        assert!(
-            self.initial_degree >= 1,
-            "initial degree must be at least 1"
-        );
-        assert!(
-            self.initial_degree <= self.max_degree,
-            "initial degree exceeds the hardware maximum"
-        );
-        assert!(self.max_degree <= 7, "Ripd is a 3-bit register");
-        assert!(self.threshold_spacing_v > 0.0, "spacing must be positive");
-        assert!(self.voltage_step_v > 0.0, "voltage step must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.throttle_rate_threshold),
-            "throttle rate threshold is a proportion"
-        );
-        assert!(
-            self.min_top_threshold_v < self.max_top_threshold_v,
-            "threshold bounds are inverted"
-        );
-        assert!(
-            self.top_threshold_v >= self.min_top_threshold_v
-                && self.top_threshold_v <= self.max_top_threshold_v,
-            "initial top threshold outside its adaptation bounds"
-        );
+    /// Checks the configuration for consistency.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first inconsistent field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.threshold_count < 1 {
+            return Err("need at least one threshold (threshold_count 0)".to_string());
+        }
+        if self.initial_degree < 1 {
+            return Err("initial degree must be at least 1".to_string());
+        }
+        if self.initial_degree > self.max_degree {
+            return Err(format!(
+                "initial degree {} exceeds the hardware maximum {}",
+                self.initial_degree, self.max_degree
+            ));
+        }
+        if self.max_degree > 7 {
+            return Err(format!(
+                "Ripd is a 3-bit register (max_degree {} > 7)",
+                self.max_degree
+            ));
+        }
+        // `partial_cmp`, not `<`/`>`: a NaN field must be rejected too.
+        if self.threshold_spacing_v.partial_cmp(&0.0) != Some(Ordering::Greater) {
+            return Err(format!(
+                "threshold spacing {} V must be positive",
+                self.threshold_spacing_v
+            ));
+        }
+        if self.voltage_step_v.partial_cmp(&0.0) != Some(Ordering::Greater) {
+            return Err(format!(
+                "voltage step {} V must be positive",
+                self.voltage_step_v
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.throttle_rate_threshold) {
+            return Err(format!(
+                "throttle rate threshold {} is not a proportion",
+                self.throttle_rate_threshold
+            ));
+        }
+        if self
+            .min_top_threshold_v
+            .partial_cmp(&self.max_top_threshold_v)
+            != Some(Ordering::Less)
+        {
+            return Err(format!(
+                "threshold bounds are inverted ({} >= {})",
+                self.min_top_threshold_v, self.max_top_threshold_v
+            ));
+        }
+        if !(self.top_threshold_v >= self.min_top_threshold_v
+            && self.top_threshold_v <= self.max_top_threshold_v)
+        {
+            return Err(format!(
+                "initial top threshold {} V outside its adaptation bounds [{}, {}]",
+                self.top_threshold_v, self.min_top_threshold_v, self.max_top_threshold_v
+            ));
+        }
+        Ok(())
     }
 
     /// The initial threshold ladder `V1 > V2 > … > Vk`.
@@ -115,7 +153,7 @@ mod tests {
         assert_eq!(c.initial_thresholds(), vec![3.3, 3.25]);
         assert_eq!(c.initial_degree, 2);
         assert_eq!(c.max_degree, 4);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -127,13 +165,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "3-bit")]
     fn oversized_degree_rejected() {
         let c = IpexConfig {
             max_degree: 9,
             initial_degree: 9,
             ..IpexConfig::paper_default()
         };
-        c.validate();
+        assert!(c.validate().unwrap_err().contains("3-bit"));
     }
 }

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use ehs_mem::Persist;
 use serde::{Deserialize, Serialize};
 
-use crate::{IpexConfig, IpexRegisters};
+use crate::{IpexConfig, IpexRegisters, PolicyStats};
 
 /// The controller's bi-modal operating state (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -16,39 +16,6 @@ pub enum Mode {
     /// Voltage below at least one threshold: the prefetch degree is
     /// reduced to save energy ahead of the expected outage.
     EnergySaving,
-}
-
-/// Counters summarising a controller's activity, for the evaluation
-/// figures (prefetch-operation reduction, threshold adaptation, …).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IpexStats {
-    /// Prefetch candidates issued (after throttling).
-    pub issued: u64,
-    /// Prefetch candidates suppressed by throttling.
-    pub throttled: u64,
-    /// Throttled candidates that were later reissued by the §5.1
-    /// extension.
-    pub reissued: u64,
-    /// Transitions into energy-saving mode.
-    pub saving_mode_entries: u64,
-    /// Reboots where the thresholds were lowered (throttling was eager).
-    pub threshold_lowers: u64,
-    /// Reboots where the thresholds were raised (throttling was lazy).
-    pub threshold_raises: u64,
-    /// Power cycles observed.
-    pub power_cycles: u64,
-}
-
-impl IpexStats {
-    /// Lifetime throttling rate: throttled / (issued + throttled).
-    pub fn overall_throttle_rate(&self) -> f64 {
-        let total = self.issued + self.throttled;
-        if total == 0 {
-            0.0
-        } else {
-            self.throttled as f64 / total as f64
-        }
-    }
 }
 
 /// Complete serializable state of an [`IpexController`] — configuration,
@@ -71,7 +38,7 @@ pub struct IpexControllerState {
     /// Reissue queue, oldest first.
     pub reissue_queue: Vec<u32>,
     /// Counters at the time of the export.
-    pub stats: IpexStats,
+    pub stats: PolicyStats,
 }
 
 /// The per-cache IPEX controller.
@@ -93,7 +60,7 @@ pub struct IpexController {
     mode: Mode,
     /// Recently throttled candidates for the §5.1 reissue extension.
     reissue_queue: VecDeque<u32>,
-    stats: IpexStats,
+    stats: PolicyStats,
 }
 
 impl IpexController {
@@ -102,9 +69,12 @@ impl IpexController {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (see [`IpexConfig`]).
+    /// Panics if the configuration is inconsistent (see
+    /// [`IpexConfig::validate`]).
     pub fn new(cfg: IpexConfig) -> IpexController {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         IpexController {
             thresholds: cfg.initial_thresholds(),
             regs: IpexRegisters::new(cfg.initial_degree),
@@ -112,7 +82,7 @@ impl IpexController {
             level: 0,
             mode: Mode::HighPerformance,
             reissue_queue: VecDeque::new(),
-            stats: IpexStats::default(),
+            stats: PolicyStats::default(),
             cfg,
         }
     }
@@ -143,7 +113,7 @@ impl IpexController {
     }
 
     /// Statistics accumulated so far.
-    pub fn stats(&self) -> IpexStats {
+    pub fn stats(&self) -> PolicyStats {
         self.stats
     }
 
@@ -276,10 +246,10 @@ impl Persist for IpexController {
         }
     }
 
-    /// Rejects a state whose threshold ladder length disagrees with its
-    /// own configuration (a corrupted snapshot).
+    /// Rejects a state whose own configuration is inconsistent, or whose
+    /// threshold ladder length disagrees with it (a corrupted snapshot).
     fn from_state(state: &IpexControllerState) -> Result<IpexController, String> {
-        state.cfg.validate();
+        state.cfg.validate()?;
         if state.thresholds.len() != state.cfg.threshold_count as usize {
             return Err(format!(
                 "controller state has {} thresholds, config wants {}",
@@ -510,6 +480,6 @@ mod tests {
         let mut cand = vec![1, 2, 3, 4];
         c.filter(&mut cand);
         assert!((c.stats().overall_throttle_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(IpexStats::default().overall_throttle_rate(), 0.0);
+        assert_eq!(PolicyStats::default().overall_throttle_rate(), 0.0);
     }
 }

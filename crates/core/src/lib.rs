@@ -66,11 +66,11 @@ pub mod policy;
 mod registers;
 
 pub use config::IpexConfig;
-pub use controller::{IpexController, IpexControllerState, IpexStats, Mode};
+pub use controller::{IpexController, IpexControllerState, Mode};
 pub use policy::{
     AnyPolicy, HysteresisConfig, HysteresisController, HysteresisControllerState, PolicyConfig,
     PolicyState, PolicyStats, PredictiveConfig, PredictiveController, PredictiveControllerState,
-    StaticController, StaticControllerState, StaticDegreeConfig, Throttle, ThrottlePolicy,
-    ThrottleState, IPEX_NVFF_BITS, PREDICTIVE_NVFF_BITS,
+    StaticController, StaticControllerState, StaticDegreeConfig, ThrottlePolicy, IPEX_NVFF_BITS,
+    PREDICTIVE_NVFF_BITS,
 };
 pub use registers::IpexRegisters;

@@ -45,16 +45,42 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::controller::{IpexController, IpexControllerState, IpexStats, Mode};
+use crate::controller::{IpexController, IpexControllerState, Mode};
 use crate::IpexConfig;
 use ehs_mem::Persist;
 
 /// Counters every throttling policy maintains for the evaluation
-/// figures. This is the same shape the IPEX controller always exported —
-/// the alias records that the counters are policy-generic, while keeping
-/// the serialized name (`IpexStats`) and every downstream field access
-/// unchanged.
-pub type PolicyStats = IpexStats;
+/// figures (prefetch-operation reduction, threshold adaptation, …).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PolicyStats {
+    /// Prefetch candidates issued (after throttling).
+    pub issued: u64,
+    /// Prefetch candidates suppressed by throttling.
+    pub throttled: u64,
+    /// Throttled candidates that were later reissued by IPEX's §5.1
+    /// extension.
+    pub reissued: u64,
+    /// Transitions into energy-saving mode.
+    pub saving_mode_entries: u64,
+    /// Reboots where the thresholds were lowered (throttling was eager).
+    pub threshold_lowers: u64,
+    /// Reboots where the thresholds were raised (throttling was lazy).
+    pub threshold_raises: u64,
+    /// Power cycles observed.
+    pub power_cycles: u64,
+}
+
+impl PolicyStats {
+    /// Lifetime throttling rate: throttled / (issued + throttled).
+    pub fn overall_throttle_rate(&self) -> f64 {
+        let total = self.issued + self.throttled;
+        if total == 0 {
+            0.0
+        } else {
+            self.throttled as f64 / total as f64
+        }
+    }
+}
 
 /// NVFF bits the IPEX controller JIT-checkpoints per cache:
 /// `Rthrottled` + `Rtotal` (§6.1). `Rtr` is recomputed at reboot and
@@ -957,13 +983,13 @@ impl Persist for PredictiveController {
 // PolicyConfig — the serializable choice of policy
 // ---------------------------------------------------------------------
 
-/// The serializable choice of a non-IPEX throttling policy and its
-/// parameters, embedded in `ehs-sim`'s `PrefetchMode::Policy`. (IPEX
-/// keeps its own long-standing `PrefetchMode::Ipex` variant so existing
-/// configurations serialize byte-identically.)
+/// The serializable choice of a throttling policy and its parameters,
+/// embedded in `ehs-sim`'s `PrefetchMode::Policy`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]
 pub enum PolicyConfig {
+    /// The paper's voltage-threshold ladder.
+    Ipex(IpexConfig),
     /// Confidence-weighted outage prediction.
     Predictive(PredictiveConfig),
     /// EWMA-smoothed two-point hysteresis.
@@ -976,6 +1002,7 @@ impl PolicyConfig {
     /// Stable kebab-case name of the configured policy.
     pub fn kind_name(&self) -> &'static str {
         match self {
+            PolicyConfig::Ipex(_) => "ipex",
             PolicyConfig::Predictive(_) => "predictive",
             PolicyConfig::Hysteresis(_) => "hysteresis",
             PolicyConfig::StaticDegree(_) => "static-degree",
@@ -987,6 +1014,7 @@ impl PolicyConfig {
     /// throttled issue bursts must respect.
     pub fn initial_degree(&self) -> u32 {
         match self {
+            PolicyConfig::Ipex(c) => c.initial_degree,
             PolicyConfig::Predictive(c) => c.initial_degree,
             PolicyConfig::Hysteresis(c) => c.initial_degree,
             PolicyConfig::StaticDegree(c) => c.degree,
@@ -1000,6 +1028,7 @@ impl PolicyConfig {
     /// Describes the first inconsistent field.
     pub fn validate(&self) -> Result<(), String> {
         match self {
+            PolicyConfig::Ipex(c) => c.validate(),
             PolicyConfig::Predictive(c) => c.validate(),
             PolicyConfig::Hysteresis(c) => c.validate(),
             PolicyConfig::StaticDegree(c) => c.validate(),
@@ -1014,6 +1043,7 @@ impl PolicyConfig {
     /// handling untrusted input).
     pub fn build(&self) -> AnyPolicy {
         match self {
+            PolicyConfig::Ipex(c) => AnyPolicy::ipex(*c),
             PolicyConfig::Predictive(c) => {
                 AnyPolicy::Predictive(Box::new(PredictiveController::new(*c)))
             }
@@ -1031,9 +1061,9 @@ impl PolicyConfig {
 
 /// Serializable state of an [`AnyPolicy`], for snapshot/resume.
 ///
-/// The `passthrough` and `ipex` variants keep the exact wire names the
-/// old two-variant `ThrottleState` used, so pre-existing snapshots parse
-/// unchanged.
+/// The `passthrough` and `ipex` variants keep the exact wire names of
+/// the two-variant throttle state that predates the policy layer, so
+/// pre-existing snapshots parse unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]
 pub enum PolicyState {
@@ -1080,15 +1110,6 @@ pub enum AnyPolicy {
     StaticDegree(StaticController),
 }
 
-/// The simulator's historical name for the policy slot. The redesign
-/// kept the old two-variant enum's API surface on [`AnyPolicy`], so the
-/// alias is exact.
-pub type Throttle = AnyPolicy;
-
-/// Historical name of [`PolicyState`], kept for the same reason as
-/// [`Throttle`].
-pub type ThrottleState = PolicyState;
-
 macro_rules! delegate {
     ($self:expr, $p:ident => $body:expr, $passthrough:expr) => {
         match $self {
@@ -1105,11 +1126,6 @@ impl AnyPolicy {
     /// Builds an IPEX policy from its configuration.
     pub fn ipex(cfg: IpexConfig) -> AnyPolicy {
         AnyPolicy::Ipex(Box::new(IpexController::new(cfg)))
-    }
-
-    /// `true` if this is the IPEX controller.
-    pub fn is_ipex(&self) -> bool {
-        matches!(self, AnyPolicy::Ipex(_))
     }
 
     /// Stable kebab-case policy name (`"passthrough"`, `"ipex"`,
@@ -1223,7 +1239,6 @@ mod tests {
     #[test]
     fn passthrough_keeps_everything() {
         let mut t = AnyPolicy::Passthrough;
-        assert!(!t.is_ipex());
         assert_eq!(t.kind_name(), "passthrough");
         let mut cand = vec![1, 2, 3, 4, 5];
         assert_eq!(t.filter(&mut cand), 5);
@@ -1239,7 +1254,6 @@ mod tests {
     #[test]
     fn ipex_policy_delegates() {
         let mut t = AnyPolicy::ipex(IpexConfig::paper_default());
-        assert!(t.is_ipex());
         assert_eq!(t.kind_name(), "ipex");
         assert_eq!(t.nvff_bits(), IPEX_NVFF_BITS);
         assert!(t.batched_observation_safe());
@@ -1550,6 +1564,7 @@ mod tests {
     #[test]
     fn policy_config_builds_matching_kind() {
         let cases = [
+            (PolicyConfig::Ipex(IpexConfig::paper_default()), "ipex", 2),
             (
                 PolicyConfig::Predictive(PredictiveConfig::paper_default()),
                 "predictive",
@@ -1581,6 +1596,14 @@ mod tests {
         let pc = PolicyConfig::StaticDegree(StaticDegreeConfig::conservative());
         let json = serde_json::to_string(&pc).unwrap();
         assert_eq!(json, "{\"static-degree\":{\"degree\":1}}");
+        let back: PolicyConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, pc);
+        let pc = PolicyConfig::Ipex(IpexConfig::paper_default());
+        let json = serde_json::to_string(&pc).unwrap();
+        assert!(
+            json.starts_with("{\"ipex\":{\"threshold_count\":2,"),
+            "{json}"
+        );
         let back: PolicyConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, pc);
     }

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::{
     AmpmPrefetcher, AnyPrefetcher, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher,
-    NullPrefetcher, Prefetcher, SequentialPrefetcher, StridePrefetcher, TifsPrefetcher,
+    NullPrefetcher, SequentialPrefetcher, StridePrefetcher, TifsPrefetcher,
 };
 
 /// Instruction-prefetcher selection (Table 3).
@@ -40,18 +40,8 @@ impl InstPrefetcherKind {
         }
     }
 
-    /// Instantiates the prefetcher with the given natural degree.
-    pub fn build(self, degree: u32) -> Box<dyn Prefetcher> {
-        match self {
-            InstPrefetcherKind::None => Box::new(NullPrefetcher::new()),
-            InstPrefetcherKind::Sequential => Box::new(SequentialPrefetcher::new(degree)),
-            InstPrefetcherKind::Markov => Box::new(MarkovPrefetcher::new(degree)),
-            InstPrefetcherKind::Tifs => Box::new(TifsPrefetcher::new(degree)),
-        }
-    }
-
-    /// [`InstPrefetcherKind::build`] as the enum-dispatched
-    /// [`AnyPrefetcher`] the simulator's hot loop uses.
+    /// Instantiates the prefetcher with the given natural degree, as the
+    /// enum-dispatched [`AnyPrefetcher`] the simulator's hot loop uses.
     pub fn build_any(self, degree: u32) -> AnyPrefetcher {
         match self {
             InstPrefetcherKind::None => AnyPrefetcher::Null(NullPrefetcher::new()),
@@ -99,19 +89,8 @@ impl DataPrefetcherKind {
         }
     }
 
-    /// Instantiates the prefetcher with the given natural degree.
-    pub fn build(self, degree: u32) -> Box<dyn Prefetcher> {
-        match self {
-            DataPrefetcherKind::None => Box::new(NullPrefetcher::new()),
-            DataPrefetcherKind::Stride => Box::new(StridePrefetcher::new(degree)),
-            DataPrefetcherKind::Ghb => Box::new(GhbPrefetcher::new(degree)),
-            DataPrefetcherKind::BestOffset => Box::new(BestOffsetPrefetcher::new(degree)),
-            DataPrefetcherKind::Ampm => Box::new(AmpmPrefetcher::new(degree)),
-        }
-    }
-
-    /// [`DataPrefetcherKind::build`] as the enum-dispatched
-    /// [`AnyPrefetcher`] the simulator's hot loop uses.
+    /// Instantiates the prefetcher with the given natural degree, as the
+    /// enum-dispatched [`AnyPrefetcher`] the simulator's hot loop uses.
     pub fn build_any(self, degree: u32) -> AnyPrefetcher {
         match self {
             DataPrefetcherKind::None => AnyPrefetcher::Null(NullPrefetcher::new()),
@@ -128,20 +107,24 @@ impl DataPrefetcherKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Prefetcher;
 
     #[test]
     fn build_matches_names() {
-        assert_eq!(InstPrefetcherKind::Sequential.build(2).name(), "sequential");
-        assert_eq!(InstPrefetcherKind::Markov.build(2).name(), "markov");
-        assert_eq!(InstPrefetcherKind::Tifs.build(2).name(), "tifs");
-        assert_eq!(InstPrefetcherKind::None.build(2).name(), "none");
-        assert_eq!(DataPrefetcherKind::Stride.build(2).name(), "stride");
-        assert_eq!(DataPrefetcherKind::Ghb.build(2).name(), "ghb");
         assert_eq!(
-            DataPrefetcherKind::BestOffset.build(2).name(),
+            InstPrefetcherKind::Sequential.build_any(2).name(),
+            "sequential"
+        );
+        assert_eq!(InstPrefetcherKind::Markov.build_any(2).name(), "markov");
+        assert_eq!(InstPrefetcherKind::Tifs.build_any(2).name(), "tifs");
+        assert_eq!(InstPrefetcherKind::None.build_any(2).name(), "none");
+        assert_eq!(DataPrefetcherKind::Stride.build_any(2).name(), "stride");
+        assert_eq!(DataPrefetcherKind::Ghb.build_any(2).name(), "ghb");
+        assert_eq!(
+            DataPrefetcherKind::BestOffset.build_any(2).name(),
             "best-offset"
         );
-        assert_eq!(DataPrefetcherKind::Ampm.build(2).name(), "ampm");
+        assert_eq!(DataPrefetcherKind::Ampm.build_any(2).name(), "ampm");
     }
 
     #[test]

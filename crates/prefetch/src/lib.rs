@@ -77,29 +77,7 @@ pub trait Prefetcher {
     fn power_loss(&mut self);
 
     /// The complete internal state as a serializable value, for
-    /// snapshot/resume. [`PrefetcherState::into_prefetcher`] rebuilds a
+    /// snapshot/resume. [`PrefetcherState::into_any`] rebuilds a
     /// behaviourally identical prefetcher from it.
     fn export_state(&self) -> PrefetcherState;
-}
-
-impl<P: Prefetcher + ?Sized> Prefetcher for Box<P> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn max_degree(&self) -> u32 {
-        (**self).max_degree()
-    }
-
-    fn observe(&mut self, event: &AccessEvent, out: &mut Vec<u32>) {
-        (**self).observe(event, out)
-    }
-
-    fn power_loss(&mut self) {
-        (**self).power_loss()
-    }
-
-    fn export_state(&self) -> PrefetcherState {
-        (**self).export_state()
-    }
 }

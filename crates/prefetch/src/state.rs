@@ -1,8 +1,9 @@
 //! Serializable prefetcher state for snapshot/resume.
 //!
 //! Every concrete prefetcher can export its complete internal state as a
-//! [`PrefetcherState`] (via [`Prefetcher::export_state`]) and be rebuilt
-//! bit-identically from it (via [`PrefetcherState::into_prefetcher`]).
+//! [`PrefetcherState`] (via
+//! [`Prefetcher::export_state`](crate::Prefetcher::export_state)) and be
+//! rebuilt bit-identically from it (via [`PrefetcherState::into_any`]).
 //! The enum is externally tagged, so a snapshot records *which* of the 9
 //! kinds was running as well as its tables.
 
@@ -10,10 +11,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::{
     AmpmPrefetcher, AnyPrefetcher, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher,
-    NullPrefetcher, Prefetcher, SequentialPrefetcher, StridePrefetcher, TifsPrefetcher,
+    NullPrefetcher, SequentialPrefetcher, StridePrefetcher, TifsPrefetcher,
 };
 
-/// Complete serializable state of any concrete [`Prefetcher`].
+/// Complete serializable state of any concrete [`Prefetcher`](crate::Prefetcher).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]
 pub enum PrefetcherState {
@@ -36,22 +37,8 @@ pub enum PrefetcherState {
 }
 
 impl PrefetcherState {
-    /// Rebuilds a live prefetcher holding exactly this state.
-    pub fn into_prefetcher(&self) -> Box<dyn Prefetcher> {
-        match self {
-            PrefetcherState::None => Box::new(NullPrefetcher::new()),
-            PrefetcherState::Sequential(p) => Box::new(p.clone()),
-            PrefetcherState::Markov(p) => Box::new(p.clone()),
-            PrefetcherState::Tifs(p) => Box::new(p.clone()),
-            PrefetcherState::Stride(p) => Box::new(p.clone()),
-            PrefetcherState::Ghb(p) => Box::new(p.clone()),
-            PrefetcherState::BestOffset(p) => Box::new(p.clone()),
-            PrefetcherState::Ampm(p) => Box::new(p.clone()),
-        }
-    }
-
-    /// [`PrefetcherState::into_prefetcher`] as the enum-dispatched
-    /// [`AnyPrefetcher`] the simulator's hot loop uses.
+    /// Rebuilds a live prefetcher holding exactly this state, as the
+    /// enum-dispatched [`AnyPrefetcher`] the simulator's hot loop uses.
     pub fn into_any(&self) -> AnyPrefetcher {
         match self {
             PrefetcherState::None => AnyPrefetcher::Null(NullPrefetcher::new()),
@@ -65,7 +52,8 @@ impl PrefetcherState {
         }
     }
 
-    /// The kind tag as reported by [`Prefetcher::name`], for mismatch
+    /// The kind tag as reported by
+    /// [`Prefetcher::name`](crate::Prefetcher::name), for mismatch
     /// diagnostics.
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -84,7 +72,7 @@ impl PrefetcherState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessEvent, AccessOutcome};
+    use crate::{AccessEvent, AccessOutcome, Prefetcher};
 
     fn exercise(p: &mut dyn Prefetcher) {
         let mut out = Vec::new();
@@ -103,22 +91,22 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_behaviour() {
-        let originals: Vec<Box<dyn Prefetcher>> = vec![
-            Box::new(NullPrefetcher::new()),
-            Box::new(SequentialPrefetcher::new(2)),
-            Box::new(MarkovPrefetcher::new(2)),
-            Box::new(TifsPrefetcher::new(2)),
-            Box::new(StridePrefetcher::new(2)),
-            Box::new(GhbPrefetcher::new(2)),
-            Box::new(BestOffsetPrefetcher::new(2)),
-            Box::new(AmpmPrefetcher::new(2)),
+        let originals = [
+            AnyPrefetcher::Null(NullPrefetcher::new()),
+            AnyPrefetcher::Sequential(SequentialPrefetcher::new(2)),
+            AnyPrefetcher::Markov(MarkovPrefetcher::new(2)),
+            AnyPrefetcher::Tifs(TifsPrefetcher::new(2)),
+            AnyPrefetcher::Stride(StridePrefetcher::new(2)),
+            AnyPrefetcher::Ghb(GhbPrefetcher::new(2)),
+            AnyPrefetcher::BestOffset(BestOffsetPrefetcher::new(2)),
+            AnyPrefetcher::Ampm(AmpmPrefetcher::new(2)),
         ];
         for mut p in originals {
-            exercise(&mut *p);
+            exercise(&mut p);
             let state = p.export_state();
             let json = serde_json::to_string(&state).unwrap();
             let back: PrefetcherState = serde_json::from_str(&json).unwrap();
-            let mut q = back.into_prefetcher();
+            let mut q = back.into_any();
             assert_eq!(q.name(), p.name());
             // Re-serializing the rebuilt state is byte-identical.
             assert_eq!(serde_json::to_string(&q.export_state()).unwrap(), json);

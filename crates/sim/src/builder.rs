@@ -16,8 +16,8 @@
 //! ```
 //!
 //! `build()` validates the whole configuration (cache geometry,
-//! capacitor voltage ordering, IPEX parameters, prefetch settings) and
-//! panics with a field-naming message on contradiction;
+//! capacitor voltage ordering, throttling-policy parameters, prefetch
+//! settings) and panics with a field-naming message on contradiction;
 //! [`SimConfigBuilder::try_build`] returns the error instead.
 
 use ehs_energy::{CapacitorConfig, EnergyModel};
@@ -29,15 +29,16 @@ use crate::config::PrefetchMode;
 use crate::trace::TraceMode;
 use crate::SimConfig;
 
-/// Which caches IPEX throttles — the paper's three comparison points.
+/// Which caches IPEX (or another throttling policy) throttles — the
+/// paper's three comparison points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ipex {
-    /// No IPEX anywhere: conventional, unthrottled prefetching (the
-    /// paper's NVSRAMCache baseline).
+    /// No throttling anywhere: conventional, unthrottled prefetching
+    /// (the paper's NVSRAMCache baseline).
     Off,
-    /// IPEX on the data prefetcher only ("+IPEX(D)").
+    /// Throttle the data prefetcher only ("+IPEX(D)").
     Data,
-    /// IPEX on both prefetchers — the headline configuration
+    /// Throttle both prefetchers — the headline configuration
     /// ("+IPEX(I+D)").
     Both,
 }
@@ -66,9 +67,10 @@ impl std::error::Error for ConfigError {}
 pub struct SimConfigBuilder {
     cfg: SimConfig,
     prefetch: bool,
-    ipex: Ipex,
-    ipex_cfg: IpexConfig,
-    policy: Option<(Ipex, PolicyConfig)>,
+    /// Which caches are throttled.
+    placement: Ipex,
+    /// What throttles them.
+    policy: PolicyConfig,
 }
 
 impl Default for SimConfigBuilder {
@@ -76,44 +78,38 @@ impl Default for SimConfigBuilder {
         SimConfigBuilder {
             cfg: SimConfig::default(),
             prefetch: true,
-            ipex: Ipex::Off,
-            ipex_cfg: IpexConfig::paper_default(),
-            policy: None,
+            placement: Ipex::Off,
+            policy: PolicyConfig::Ipex(IpexConfig::paper_default()),
         }
     }
 }
 
 impl SimConfigBuilder {
     /// Disables both prefetchers ("NVSRAMCache (No Prefetcher)").
-    /// Incompatible with [`ipex`](Self::ipex) other than [`Ipex::Off`].
+    /// Incompatible with throttling any cache
+    /// ([`ipex`](Self::ipex)/[`throttle_policy`](Self::throttle_policy)
+    /// other than [`Ipex::Off`]).
     pub fn no_prefetch(mut self) -> Self {
         self.prefetch = false;
         self
     }
 
-    /// Selects which caches IPEX throttles (default: [`Ipex::Off`]).
-    pub fn ipex(mut self, which: Ipex) -> Self {
-        self.ipex = which;
-        self
+    /// Throttles the caches `which` selects with the paper's IPEX
+    /// controller (default: [`Ipex::Off`]). Shorthand for
+    /// [`throttle_policy`](Self::throttle_policy) with
+    /// `PolicyConfig::Ipex(IpexConfig::paper_default())`.
+    pub fn ipex(self, which: Ipex) -> Self {
+        self.throttle_policy(which, PolicyConfig::Ipex(IpexConfig::paper_default()))
     }
 
-    /// Replaces the IPEX controller parameters applied to whichever
-    /// caches [`ipex`](Self::ipex) selects (default:
-    /// [`IpexConfig::paper_default`]).
-    pub fn ipex_config(mut self, cfg: IpexConfig) -> Self {
-        self.ipex_cfg = cfg;
-        self
-    }
-
-    /// Throttles prefetching with an alternative [`PolicyConfig`]
-    /// controller (predictive, hysteresis, static-degree) on the caches
-    /// `which` selects — the same placement semantics as
-    /// [`ipex`](Self::ipex): [`Ipex::Data`] leaves the instruction side
-    /// conventional. Incompatible with a non-`Off` [`ipex`](Self::ipex)
-    /// selection; for IPEX itself use `ipex()`, which keeps the
-    /// dedicated config variant (and cache keys) unchanged.
+    /// Throttles prefetching with the [`PolicyConfig`] controller `cfg`
+    /// (IPEX, predictive, hysteresis, static-degree) on the caches
+    /// `which` selects: [`Ipex::Data`] leaves the instruction side
+    /// conventional, [`Ipex::Off`] throttles nothing. Replaces any
+    /// earlier `ipex()`/`throttle_policy()` choice.
     pub fn throttle_policy(mut self, which: Ipex, cfg: PolicyConfig) -> Self {
-        self.policy = Some((which, cfg));
+        self.placement = which;
+        self.policy = cfg;
         self
     }
 
@@ -249,37 +245,23 @@ impl SimConfigBuilder {
         let SimConfigBuilder {
             mut cfg,
             prefetch,
-            ipex,
-            ipex_cfg,
+            placement,
             policy,
         } = self;
 
         let mut problems = Vec::new();
-        if !prefetch && ipex != Ipex::Off {
+        if !prefetch && placement != Ipex::Off {
             problems.push(
-                "no_prefetch() conflicts with ipex(): IPEX throttles a prefetcher, so there \
-                 must be one to throttle"
+                "no_prefetch() conflicts with ipex()/throttle_policy(): a throttling policy \
+                 needs a prefetcher to throttle"
                     .to_owned(),
             );
         }
-        if let Some((which, pc)) = &policy {
-            if ipex != Ipex::Off {
-                problems.push(
-                    "throttle_policy() conflicts with ipex(): pick one controller per build \
-                     (use throttle_policy() alone, or ipex() for IPEX itself)"
-                        .to_owned(),
-                );
-            }
-            if !prefetch && *which != Ipex::Off {
-                problems.push(
-                    "no_prefetch() conflicts with throttle_policy(): a throttling policy \
-                     needs a prefetcher to throttle"
-                        .to_owned(),
-                );
-            }
-            if let Err(e) = pc.validate() {
-                problems.push(format!("throttle_policy: {e}"));
-            }
+        if let Err(e) = policy.validate() {
+            problems.push(format!(
+                "throttle_policy: {} policy: {e}",
+                policy.kind_name()
+            ));
         }
         for (name, c) in [("icache", &cfg.icache), ("dcache", &cfg.dcache)] {
             if c.size_bytes < BLOCK_SIZE {
@@ -319,38 +301,16 @@ impl SimConfigBuilder {
                     .to_owned(),
             );
         }
-        if ipex != Ipex::Off {
-            if ipex_cfg.threshold_count == 0 {
-                problems.push("ipex_config: threshold_count must be at least 1".to_owned());
-            }
-            if ipex_cfg.initial_degree == 0 || ipex_cfg.max_degree < ipex_cfg.initial_degree {
-                problems.push(
-                    "ipex_config: need 1 <= initial_degree <= max_degree for the degree ladder"
-                        .to_owned(),
-                );
-            }
-            if ipex_cfg.voltage_step_v <= 0.0 {
-                problems.push("ipex_config: voltage_step_v must be positive".to_owned());
-            }
-        }
         if !problems.is_empty() {
             return Err(ConfigError(problems.join("; ")));
         }
 
-        let (inst_mode, data_mode) = if !prefetch {
-            (PrefetchMode::Off, PrefetchMode::Off)
-        } else if let Some((which, pc)) = policy {
-            match which {
-                Ipex::Off => (PrefetchMode::Conventional, PrefetchMode::Conventional),
-                Ipex::Data => (PrefetchMode::Conventional, PrefetchMode::Policy(pc)),
-                Ipex::Both => (PrefetchMode::Policy(pc), PrefetchMode::Policy(pc)),
-            }
-        } else {
-            match ipex {
-                Ipex::Off => (PrefetchMode::Conventional, PrefetchMode::Conventional),
-                Ipex::Data => (PrefetchMode::Conventional, PrefetchMode::Ipex(ipex_cfg)),
-                Ipex::Both => (PrefetchMode::Ipex(ipex_cfg), PrefetchMode::Ipex(ipex_cfg)),
-            }
+        let throttled = PrefetchMode::Policy(policy);
+        let (inst_mode, data_mode) = match (prefetch, placement) {
+            (false, _) => (PrefetchMode::Off, PrefetchMode::Off),
+            (true, Ipex::Off) => (PrefetchMode::Conventional, PrefetchMode::Conventional),
+            (true, Ipex::Data) => (PrefetchMode::Conventional, throttled),
+            (true, Ipex::Both) => (throttled, throttled),
         };
         cfg.inst_mode = inst_mode;
         cfg.data_mode = data_mode;
@@ -386,12 +346,41 @@ mod tests {
 
     #[test]
     fn ipex_placements() {
+        let ipex = PrefetchMode::Policy(PolicyConfig::Ipex(IpexConfig::paper_default()));
         let both = SimConfig::builder().ipex(Ipex::Both).build();
-        assert!(matches!(both.inst_mode, PrefetchMode::Ipex(_)));
-        assert!(matches!(both.data_mode, PrefetchMode::Ipex(_)));
+        assert_eq!(both.inst_mode, ipex);
+        assert_eq!(both.data_mode, ipex);
         let data = SimConfig::builder().ipex(Ipex::Data).build();
-        assert!(matches!(data.inst_mode, PrefetchMode::Conventional));
-        assert!(matches!(data.data_mode, PrefetchMode::Ipex(_)));
+        assert_eq!(data.inst_mode, PrefetchMode::Conventional);
+        assert_eq!(data.data_mode, ipex);
+    }
+
+    /// `ipex()` and `throttle_policy()` set the same two fields, so the
+    /// last call wins, like every other setter.
+    #[test]
+    fn last_throttling_call_wins() {
+        use ipex::PredictiveConfig;
+        let pc = PolicyConfig::Predictive(PredictiveConfig::paper_default());
+        let cfg = SimConfig::builder()
+            .ipex(Ipex::Both)
+            .throttle_policy(Ipex::Data, pc)
+            .build();
+        assert_eq!(cfg.inst_mode, PrefetchMode::Conventional);
+        assert_eq!(cfg.data_mode, PrefetchMode::Policy(pc));
+        let cfg = SimConfig::builder()
+            .throttle_policy(Ipex::Data, pc)
+            .ipex(Ipex::Both)
+            .build();
+        assert_eq!(
+            cfg.inst_mode,
+            PrefetchMode::Policy(PolicyConfig::Ipex(IpexConfig::paper_default()))
+        );
+        let cfg = SimConfig::builder()
+            .no_prefetch()
+            .ipex(Ipex::Both)
+            .ipex(Ipex::Off)
+            .build();
+        assert_eq!(cfg.inst_mode, PrefetchMode::Off);
     }
 
     #[test]
@@ -435,22 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_ipex_config_is_applied() {
-        let ic = IpexConfig {
-            voltage_step_v: 0.15,
-            ..IpexConfig::paper_default()
-        };
-        let cfg = SimConfig::builder()
-            .ipex(Ipex::Both)
-            .ipex_config(ic)
-            .build();
-        match cfg.inst_mode {
-            PrefetchMode::Ipex(c) => assert!((c.voltage_step_v - 0.15).abs() < 1e-12),
-            other => panic!("expected Ipex mode, got {other:?}"),
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "invalid SimConfig")]
     fn build_panics_on_invalid() {
         SimConfig::builder().cache_assoc(0).build();
@@ -474,15 +447,6 @@ mod tests {
         use ipex::{PredictiveConfig, StaticDegreeConfig};
         let pc = PolicyConfig::Predictive(PredictiveConfig::paper_default());
         let err = SimConfig::builder()
-            .ipex(Ipex::Both)
-            .throttle_policy(Ipex::Both, pc)
-            .try_build()
-            .unwrap_err();
-        assert!(
-            err.0.contains("throttle_policy() conflicts with ipex()"),
-            "{err}"
-        );
-        let err = SimConfig::builder()
             .no_prefetch()
             .throttle_policy(Ipex::Data, pc)
             .try_build()
@@ -494,5 +458,65 @@ mod tests {
             .try_build()
             .unwrap_err();
         assert!(err.0.contains("throttle_policy:"), "{err}");
+    }
+
+    /// Every constraint `IpexConfig::validate` enforces surfaces as a
+    /// `ConfigError` naming the `ipex` policy at build time, instead of
+    /// a panic later in `Machine::new`.
+    #[test]
+    fn invalid_ipex_configs_are_rejected_at_build_time() {
+        let ok = IpexConfig::paper_default();
+        let bad = [
+            IpexConfig {
+                threshold_count: 0,
+                ..ok
+            },
+            IpexConfig {
+                initial_degree: 0,
+                ..ok
+            },
+            IpexConfig {
+                initial_degree: 5,
+                ..ok
+            },
+            IpexConfig {
+                max_degree: 8,
+                ..ok
+            },
+            IpexConfig {
+                threshold_spacing_v: 0.0,
+                ..ok
+            },
+            IpexConfig {
+                voltage_step_v: -0.05,
+                ..ok
+            },
+            IpexConfig {
+                throttle_rate_threshold: 1.5,
+                ..ok
+            },
+            IpexConfig {
+                min_top_threshold_v: 3.4,
+                ..ok
+            },
+            IpexConfig {
+                top_threshold_v: 3.5,
+                ..ok
+            },
+        ];
+        let mut messages = std::collections::BTreeSet::new();
+        for ic in bad {
+            let err = SimConfig::builder()
+                .throttle_policy(Ipex::Both, PolicyConfig::Ipex(ic))
+                .try_build()
+                .unwrap_err();
+            assert!(err.0.contains("throttle_policy: ipex policy:"), "{err}");
+            messages.insert(err.0);
+        }
+        assert_eq!(messages.len(), 9, "each case trips its own check");
+        assert!(SimConfig::builder()
+            .throttle_policy(Ipex::Both, PolicyConfig::Ipex(ok))
+            .try_build()
+            .is_ok());
     }
 }

@@ -3,7 +3,7 @@
 use ehs_energy::{CapacitorConfig, EnergyModel, PowerTrace, TraceSpec};
 use ehs_mem::{CacheConfig, NvmConfig};
 use ehs_prefetch::{DataPrefetcherKind, InstPrefetcherKind};
-use ipex::{IpexConfig, PolicyConfig};
+use ipex::PolicyConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::builder::SimConfigBuilder;
@@ -19,13 +19,8 @@ pub enum PrefetchMode {
     Off,
     /// Conventional, unthrottled prefetching (the paper's baseline).
     Conventional,
-    /// Prefetching throttled by IPEX with the given configuration.
-    Ipex(IpexConfig),
-    /// Prefetching throttled by an alternative [`PolicyConfig`]
-    /// controller (predictive, hysteresis, static-degree). IPEX itself
-    /// keeps the dedicated `Ipex` variant so existing configurations —
-    /// and the cache keys derived from their canonical JSON — are
-    /// unchanged.
+    /// Prefetching throttled by the given [`PolicyConfig`] controller
+    /// (IPEX, predictive, hysteresis, static-degree).
     Policy(PolicyConfig),
 }
 

@@ -215,7 +215,6 @@ impl Machine {
                 }
             };
             let throttle = match mode {
-                PrefetchMode::Ipex(ic) => AnyPolicy::ipex(*ic),
                 PrefetchMode::Policy(pc) => pc.build(),
                 _ => AnyPolicy::Passthrough,
             };
@@ -1747,10 +1746,11 @@ mod tests {
     /// Snapshots taken by a policy-driven machine round-trip exactly,
     /// and resuming one against a configuration that builds a
     /// *different* policy fails with the structured mismatch error
-    /// naming both kinds.
+    /// naming both kinds; a throttle state of the right kind carrying an
+    /// invalid configuration fails as a state error.
     #[test]
     fn resume_names_policy_kinds_on_mismatch() {
-        use ipex::{PolicyConfig, PredictiveConfig, ThrottleState};
+        use ipex::{PolicyConfig, PolicyState, PredictiveConfig};
         let program = tiny_program();
         let trace = PowerTrace::constant_mw(3.0, 16);
         let cfg = SimConfig::builder()
@@ -1777,8 +1777,8 @@ mod tests {
         // A doctored throttle state of the wrong kind is rejected with
         // the policy kinds spelled out, not a generic state error.
         let mut doctored = snap.clone();
-        doctored.ithrottle = ThrottleState::Passthrough;
-        let err = match Machine::resume(&doctored, &program, trace) {
+        doctored.ithrottle = PolicyState::Passthrough;
+        let err = match Machine::resume(&doctored, &program, trace.clone()) {
             Ok(_) => panic!("doctored snapshot must be rejected"),
             Err(e) => e,
         };
@@ -1793,6 +1793,22 @@ mod tests {
                 assert_eq!(expected, "predictive");
             }
             other => panic!("expected PolicyMismatch, got {other:?}"),
+        }
+
+        // An IPEX state whose own config breaks the 3-bit `Ripd` limit
+        // is rejected by validation, not by a panic in the controller.
+        let cfg = SimConfig::builder().ipex(Ipex::Both).build();
+        let mut m = Machine::with_trace(cfg, &program, trace.clone());
+        assert!(matches!(m.run_until(40_000).unwrap(), RunStatus::Paused));
+        let mut doctored = m.snapshot(&program);
+        let PolicyState::Ipex(state) = &mut doctored.ithrottle else {
+            panic!("IPEX machine exported a non-IPEX throttle state");
+        };
+        state.cfg.max_degree = 9;
+        match Machine::resume(&doctored, &program, trace) {
+            Ok(_) => panic!("invalid IPEX state must be rejected"),
+            Err(SnapshotError::State(msg)) => assert!(msg.contains("3-bit"), "{msg}"),
+            Err(other) => panic!("expected SnapshotError::State, got {other:?}"),
         }
     }
 

@@ -2,7 +2,7 @@
 
 use ehs_energy::EnergyBreakdown;
 use ehs_mem::{CacheStats, NvmStats, PrefetchBufferStats};
-use ipex::IpexStats;
+use ipex::PolicyStats;
 use serde::{Deserialize, Serialize};
 
 /// Aggregate counters from one simulation run.
@@ -70,10 +70,12 @@ pub struct SimResult {
     pub dbuf: PrefetchBufferStats,
     /// NVM traffic counters.
     pub nvm: NvmStats,
-    /// IPEX controller stats for the ICache, when enabled.
-    pub ipex_i: Option<IpexStats>,
-    /// IPEX controller stats for the DCache, when enabled.
-    pub ipex_d: Option<IpexStats>,
+    /// Throttling-policy stats for the ICache, when a policy is enabled.
+    /// (The `ipex_` field names predate the policy layer; the result
+    /// digest covers them, so they stay.)
+    pub ipex_i: Option<PolicyStats>,
+    /// Throttling-policy stats for the DCache, when a policy is enabled.
+    pub ipex_d: Option<PolicyStats>,
 }
 
 impl SimResult {

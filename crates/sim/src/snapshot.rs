@@ -30,7 +30,7 @@
 use ehs_energy::{EnergyBreakdown, PowerTrace};
 use ehs_mem::{BufferState, CacheState, NvmState};
 use ehs_prefetch::PrefetcherState;
-use ipex::ThrottleState;
+use ipex::PolicyState;
 use serde::{Deserialize, Serialize};
 
 use crate::canon;
@@ -47,11 +47,15 @@ use crate::SimConfig;
 /// History:
 /// * **1** — initial format.
 /// * **2** — throttling-policy API: `ithrottle`/`dthrottle` may carry
-///   any [`ThrottleState`] kind (predictive, hysteresis, static-degree,
+///   any [`PolicyState`] kind (predictive, hysteresis, static-degree,
 ///   not just passthrough/IPEX) and `event_counts` gained
 ///   `policy_adapt`. v1 files are forward-compatible (the new
-///   `ThrottleState` kinds are additive and `policy_adapt` defaults to
+///   `PolicyState` kinds are additive and `policy_adapt` defaults to
 ///   0), so migration is a version bump.
+/// * **2, no bump** — IPEX moved into `PrefetchMode::Policy` as
+///   `PolicyConfig::Ipex`. A file whose `cfg` still has the old
+///   `{"Ipex": …}` mode fails [`Snapshot::from_json`]; the sweep's
+///   checkpoint loader discards it and reruns the point.
 ///
 /// [`Machine::resume`]: crate::Machine::resume
 pub const SNAPSHOT_VERSION: u32 = 2;
@@ -136,10 +140,10 @@ pub struct Snapshot {
     pub ipf: PrefetcherState,
     /// Data prefetcher kind and tables.
     pub dpf: PrefetcherState,
-    /// ICache IPEX throttle state (or passthrough).
-    pub ithrottle: ThrottleState,
-    /// DCache IPEX throttle state (or passthrough).
-    pub dthrottle: ThrottleState,
+    /// ICache throttling-policy state (or passthrough).
+    pub ithrottle: PolicyState,
+    /// DCache throttling-policy state (or passthrough).
+    pub dthrottle: PolicyState,
     /// NVM port scheduling and access counters.
     pub nvm: NvmState,
     /// Capacitor charge, nanojoules (exact).

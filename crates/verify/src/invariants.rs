@@ -333,10 +333,9 @@ pub struct InvariantSink {
 
 impl InvariantSink {
     /// Builds a sink primed with the configuration facts the checks
-    /// depend on (buffer capacity, IPEX initial degrees, ideal backup).
+    /// depend on (buffer capacity, policy initial degrees, ideal backup).
     pub fn for_config(cfg: &SimConfig) -> InvariantSink {
         let ipd = |mode: &PrefetchMode| match mode {
-            PrefetchMode::Ipex(ic) => Some(ic.initial_degree),
             PrefetchMode::Policy(pc) => Some(pc.initial_degree()),
             _ => None,
         };

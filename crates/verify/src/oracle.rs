@@ -314,7 +314,9 @@ impl ConfigId {
             // There is no inst-only builder shorthand; construct it
             // from the default.
             ConfigId::IpexI => SimConfig {
-                inst_mode: ehs_sim::PrefetchMode::Ipex(IpexConfig::paper_default()),
+                inst_mode: ehs_sim::PrefetchMode::Policy(PolicyConfig::Ipex(
+                    IpexConfig::paper_default(),
+                )),
                 ..SimConfig::builder().build()
             },
             ConfigId::IpexD => SimConfig::builder().ipex(Ipex::Data).build(),
@@ -433,7 +435,10 @@ mod tests {
     #[test]
     fn ipex_i_enables_inst_side_only() {
         let cfg = ConfigId::IpexI.build();
-        assert!(matches!(cfg.inst_mode, ehs_sim::PrefetchMode::Ipex(_)));
+        assert!(matches!(
+            cfg.inst_mode,
+            ehs_sim::PrefetchMode::Policy(PolicyConfig::Ipex(_))
+        ));
         assert!(matches!(cfg.data_mode, ehs_sim::PrefetchMode::Conventional));
     }
 

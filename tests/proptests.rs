@@ -6,7 +6,7 @@ use ehs_repro::energy::{Capacitor, CapacitorConfig, PowerTrace};
 use ehs_repro::isa::{Instr, MemWidth, Reg};
 use ehs_repro::mem::{block_of, Cache, CacheConfig, PrefetchBuffer, BLOCK_SIZE};
 use ehs_repro::prefetch::{
-    AccessEvent, AccessOutcome, DataPrefetcherKind, InstPrefetcherKind, Prefetcher,
+    AccessEvent, AccessOutcome, AnyPrefetcher, DataPrefetcherKind, InstPrefetcherKind, Prefetcher,
 };
 use ehs_repro::sim::{Ipex, Machine, SimConfig, Snapshot};
 
@@ -53,17 +53,17 @@ fn candidate_stream(p: &mut dyn Prefetcher, events: &[AccessEvent]) -> Vec<Vec<u
 /// learned offsets) must be gone, per the paper's volatile-metadata
 /// model.
 fn assert_power_loss_wipes(
-    build: &dyn Fn() -> Box<dyn Prefetcher>,
+    build: &dyn Fn() -> AnyPrefetcher,
     warmup: &[AccessEvent],
     probe: &[AccessEvent],
 ) {
     let mut survivor = build();
-    let _ = candidate_stream(survivor.as_mut(), warmup);
+    let _ = candidate_stream(&mut survivor, warmup);
     survivor.power_loss();
     let mut fresh = build();
     assert_eq!(
-        candidate_stream(survivor.as_mut(), probe),
-        candidate_stream(fresh.as_mut(), probe),
+        candidate_stream(&mut survivor, probe),
+        candidate_stream(&mut fresh, probe),
         "{}: training state survived power loss",
         survivor.name()
     );
@@ -251,7 +251,7 @@ proptest! {
             InstPrefetcherKind::Markov,
             InstPrefetcherKind::Tifs,
         ] {
-            assert_power_loss_wipes(&|| kind.build(degree), &warmup, &probe);
+            assert_power_loss_wipes(&|| kind.build_any(degree), &warmup, &probe);
         }
     }
 
@@ -269,7 +269,7 @@ proptest! {
             DataPrefetcherKind::BestOffset,
             DataPrefetcherKind::Ampm,
         ] {
-            assert_power_loss_wipes(&|| kind.build(degree), &warmup, &probe);
+            assert_power_loss_wipes(&|| kind.build_any(degree), &warmup, &probe);
         }
     }
 
