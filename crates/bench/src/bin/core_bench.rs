@@ -29,7 +29,7 @@ use ehs_sim::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One appended measurement in `BENCH_core.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct CoreRecord {
     unix_ms: u64,
     /// Wall time of the best (fastest) pass, milliseconds.
@@ -53,8 +53,8 @@ struct CoreRecord {
     digest: String,
 }
 
-/// Loads the trajectory; unrecognizable entries are dropped (the log is
-/// advisory).
+/// Loads the trajectory for `--check`; unrecognizable entries are
+/// skipped here (appending keeps them, see [`ehs_bench::append_record`]).
 fn load_records(path: &str) -> Vec<CoreRecord> {
     std::fs::read_to_string(path)
         .ok()
@@ -67,14 +67,6 @@ fn load_records(path: &str) -> Vec<CoreRecord> {
             })
         })
         .unwrap_or_default()
-}
-
-fn append_record(path: &str, record: CoreRecord) {
-    let mut records = load_records(path);
-    records.push(record);
-    let json = serde_json::to_string_pretty(&records).expect("serialise core bench records");
-    ehs_bench::write_atomic(std::path::Path::new(path), json).expect("write core bench trajectory");
-    println!("[core record appended to {path}]");
 }
 
 fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
@@ -199,7 +191,8 @@ fn main() {
         digest: format!("{digest:016x}"),
     };
     if append {
-        append_record(&out, record.clone());
+        ehs_bench::append_record(std::path::Path::new(&out), &record)
+            .expect("write core bench trajectory");
     }
 
     if check {

@@ -9,12 +9,6 @@
 //!                            var if set, else available parallelism)
 //!   --checkpoint-every N     crash-checkpoint in-flight simulations every N
 //!                            simulated cycles (default 250000000; 0 disables)
-//!   --slices K               time-sliced execution: simulate every miss as K
-//!                            parallel slices stitched bit-identically (cut
-//!                            plans are cached; 1 disables)
-//!   --sampled                SMARTS-style sampled mode: render fig27's
-//!                            sampled-vs-full comparison only (equivalent to
-//!                            --only fig27 when no --only is given)
 //!   --stats                  Monte Carlo mode: seed-sweep every headline of
 //!                            the selected figures and report 95% CIs into
 //!                            results/stats/ instead of rendering the figures
@@ -30,9 +24,11 @@
 //! results, so every `results/*.json` is byte-identical whether its
 //! points were simulated, loaded from the cache, or shared with other
 //! figures. This is the only figure entry point: `--only
-//! fig10_speedup_baseline` (or `--only fig10`) renders one figure. Each
-//! run appends a record to `BENCH_sweep.json` so cold-vs-warm
-//! wall-clock is tracked over time.
+//! fig10_speedup_baseline` (or `--only fig10`) renders one figure, and
+//! `--only fig27` renders the SMARTS-style sampled-vs-full comparison.
+//! Every sweep miss runs as one plain simulation (checkpointed unless
+//! `--checkpoint-every 0`). Each run appends a record to
+//! `BENCH_sweep.json` so cold-vs-warm wall-clock is tracked over time.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -41,10 +37,12 @@ use std::time::Instant;
 use ehs_bench::figures::{RenderCx, REGISTRY};
 use ehs_bench::monte::{self, SeedPlan};
 use ehs_bench::sweep::{CheckpointPolicy, Sweep, SweepOptions};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-/// One appended measurement in `BENCH_sweep.json`.
-#[derive(Serialize, Deserialize)]
+/// One appended measurement in `BENCH_sweep.json`. Older entries may
+/// carry fields this record no longer has (`slices`, `sampled`);
+/// [`ehs_bench::append_record`] keeps them as they were written.
+#[derive(Serialize)]
 struct BenchRecord {
     unix_ms: u64,
     wall_ms: u64,
@@ -68,18 +66,12 @@ struct BenchRecord {
     stats_seeds: Option<u64>,
     /// First seed of a `--stats` run; `None` like `stats_seeds`.
     stats_seed_base: Option<u64>,
-    /// Slice budget misses simulated under (`--slices`); 1 for a
-    /// monolithic run, and for records predating sliced execution.
-    slices: u64,
-    /// Whether this was a `--sampled` (SMARTS-mode) run.
-    sampled: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper [--only id1,id2,...] [--no-cache] [--jobs N] [--slices K] \
-         [--sampled] [--checkpoint-every N] [--stats] [--seeds N] \
-         [--seed-base N] [--list]\n\
+        "usage: paper [--only id1,id2,...] [--no-cache] [--jobs N] \
+         [--checkpoint-every N] [--stats] [--seeds N] [--seed-base N] [--list]\n\
          ids are short (fig10, tab2) or file ids (fig10_speedup_baseline)"
     );
     std::process::exit(2);
@@ -93,8 +85,6 @@ fn main() {
     // 250M cycles keeps the worst-case repaid work to a few seconds.
     let mut checkpoint_every: u64 = 250_000_000;
     let mut stats_mode = false;
-    let mut slices: Option<usize> = None;
-    let mut sampled_mode = false;
     let mut seeds: u64 = 16;
     let mut seed_base: u64 = monte::DEFAULT_SEED_BASE;
     let mut args = std::env::args().skip(1);
@@ -116,14 +106,6 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--slices" => {
-                let n = args.next().and_then(|s| s.parse().ok());
-                match n {
-                    Some(n) if n >= 1 => slices = Some(n),
-                    _ => usage(),
-                }
-            }
-            "--sampled" => sampled_mode = true,
             "--stats" => stats_mode = true,
             "--seeds" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => seeds = n,
@@ -143,9 +125,6 @@ fn main() {
         }
     }
 
-    if sampled_mode && only.is_none() {
-        only = Some(vec!["fig27".to_owned()]);
-    }
     let figures: Vec<_> = match &only {
         None => REGISTRY.to_vec(),
         Some(ids) => ids
@@ -169,7 +148,7 @@ fn main() {
             dir: Sweep::default_cache_dir(results_dir),
             every_cycles: checkpoint_every,
         }),
-        slices,
+        ..SweepOptions::default()
     });
 
     let t0 = Instant::now();
@@ -262,30 +241,7 @@ fn main() {
         cycles_simulated: Some(stats.cycles_simulated),
         stats_seeds: stats_mode.then_some(seeds),
         stats_seed_base: stats_mode.then_some(seed_base),
-        slices: sweep.slices() as u64,
-        sampled: sampled_mode,
     };
-    append_bench_record("BENCH_sweep.json", record);
-}
-
-/// Appends one record to the JSON array in `path` (creating it if
-/// missing; an unreadable file or entry is dropped rather than crashing
-/// the run, since the benchmark log is advisory). The rewrite is atomic,
-/// so a killed run cannot tear the log.
-fn append_bench_record(path: &str, record: BenchRecord) {
-    let mut records: Vec<BenchRecord> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde::Content>(&text).ok())
-        .and_then(|c| {
-            c.as_seq().map(|s| {
-                s.iter()
-                    .filter_map(|c| BenchRecord::from_content(c).ok())
-                    .collect()
-            })
-        })
-        .unwrap_or_default();
-    records.push(record);
-    let json = serde_json::to_string_pretty(&records).expect("serialise bench records");
-    ehs_bench::write_atomic(Path::new(path), json).expect("write BENCH_sweep.json");
-    println!("[bench record appended to {path}]");
+    ehs_bench::append_record(Path::new("BENCH_sweep.json"), &record)
+        .expect("write BENCH_sweep.json");
 }

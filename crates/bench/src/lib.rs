@@ -26,7 +26,6 @@ use serde::Serialize;
 pub mod figures;
 pub mod monte;
 pub mod sampled;
-pub mod slice;
 pub mod stats;
 pub mod sweep;
 
@@ -160,6 +159,46 @@ pub fn write_atomic(path: &Path, bytes: impl AsRef<[u8]>) -> std::io::Result<()>
         let _ = std::fs::remove_file(&tmp);
     }
     written
+}
+
+/// Appends `record` to the JSON array log at `path` (`BENCH_sweep.json`,
+/// `BENCH_core.json`), creating the log if it is missing or empty.
+///
+/// Earlier entries are written back exactly as they were read, as raw
+/// JSON values, so entries whose shape the current record type no
+/// longer matches keep every field. A file that is not a JSON array is
+/// history this function cannot extend: it is left untouched, a warning
+/// goes to stderr and nothing is appended. The rewrite goes through
+/// [`write_atomic`], so a killed run cannot tear the log.
+///
+/// # Errors
+///
+/// Any I/O error reading the existing log or writing the new one.
+pub fn append_record(path: &Path, record: &impl Serialize) -> std::io::Result<()> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
+    };
+    let mut records = if text.trim().is_empty() {
+        Vec::new()
+    } else {
+        match serde_json::from_str::<serde::Content>(&text) {
+            Ok(serde::Content::Seq(records)) => records,
+            _ => {
+                eprintln!(
+                    "warning: {} is not a JSON array; left it untouched and did not append",
+                    path.display()
+                );
+                return Ok(());
+            }
+        }
+    };
+    records.push(record.to_content());
+    let json = serde_json::to_string_pretty(&records).expect("serialise records");
+    write_atomic(path, json)?;
+    println!("[record appended to {}]", path.display());
+    Ok(())
 }
 
 /// Unwraps a simulation outcome, panicking with the harness's standard
@@ -330,6 +369,40 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         assert_eq!(std::fs::read_dir(dir.parent().unwrap()).unwrap().count(), 1);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn append_record_keeps_foreign_entries_and_never_overwrites_a_broken_log() {
+        #[derive(Serialize)]
+        struct Record {
+            wall_ms: u64,
+        }
+        let dir = std::env::temp_dir().join(format!("ehs-append-record-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("log.json");
+
+        // A missing log starts a one-record array.
+        append_record(&path, &Record { wall_ms: 1 }).unwrap();
+        let first = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(first, "[\n  {\n    \"wall_ms\": 1\n  }\n]");
+
+        // An entry with a field `Record` lacks, and one of another shape
+        // entirely, are both written back byte for byte.
+        let old = "[\n  {\n    \"wall_ms\": 1,\n    \"slices\": 4,\n    \"ratio\": 0.25\n  },\n  \
+                   [\n    \"not\",\n    \"a\",\n    \"record\"\n  ]\n]";
+        std::fs::write(&path, old).unwrap();
+        append_record(&path, &Record { wall_ms: 2 }).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let kept = old.strip_suffix("\n]").unwrap();
+        assert_eq!(text, format!("{kept},\n  {{\n    \"wall_ms\": 2\n  }}\n]"));
+
+        // A log that is not a JSON array is left exactly as it was.
+        for broken in ["[{\"wall_ms\": 1}", "{\"wall_ms\": 1}"] {
+            std::fs::write(&path, broken).unwrap();
+            append_record(&path, &Record { wall_ms: 3 }).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), broken);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

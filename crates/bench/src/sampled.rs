@@ -22,21 +22,16 @@
 //!   (windows where no prefetch settles contribute no sample).
 //!
 //! CIs are Student-t 95 % over the window samples, computed by
-//! [`crate::stats`]'s order/merge-invariant accumulators, so the report
-//! is byte-identical no matter how the windows were scheduled across
-//! workers — and byte-identical between a cold run (fresh forward
-//! pass) and a warm one (cuts loaded from the cache), because snapshot
-//! JSON round-trips f64 state exactly.
+//! [`crate::stats`]'s order/merge-invariant accumulators, and the whole
+//! report is a pure function of (workload, config, trace, options):
+//! two calls give byte-identical JSON.
 //!
 //! Cost model, stated honestly: building the cuts requires one full
-//! forward simulation, so a *cold* sampled run saves nothing. Once the
-//! cuts are cached, a sampled re-run simulates only
-//! `windows × window_cycles` cycles — the fraction of the run the
-//! estimate is built from.
-
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+//! forward simulation, and the windows then re-simulate
+//! `windows × window_cycles` cycles on top, so a sampled run always
+//! costs more than the plain run it estimates, and the cuts are rebuilt
+//! on every call. The mode exists to show how well systematic sampling
+//! estimates these workloads (fig27), not to save time.
 
 use ehs_energy::PowerTrace;
 use ehs_isa::Program;
@@ -48,8 +43,8 @@ use serde::{Deserialize, Serialize};
 use crate::stats::{Accumulator, Ci};
 
 /// Initial snapshot spacing for the sampled forward pass — half the
-/// slicing grain, so even short suite workloads yield enough windows
-/// for a meaningful dispersion estimate.
+/// `verify slices` grain, so even short suite workloads yield enough
+/// windows for a meaningful dispersion estimate.
 pub const SAMPLE_GRAIN_CYCLES: u64 = 25_000;
 
 /// Minimum measurement-window length: long enough to amortise the
@@ -64,11 +59,6 @@ pub struct SampledOptions {
     /// Fraction of the inter-cut spacing each window measures
     /// (`0 < fraction <= 1`); the balance is the sampled-out gap.
     pub fraction: f64,
-    /// Cut-cache file (shared format with `crate::slice`); `None`
-    /// rebuilds the forward pass every run.
-    pub cuts_path: Option<PathBuf>,
-    /// Worker threads for the window fan-out.
-    pub jobs: usize,
 }
 
 impl Default for SampledOptions {
@@ -76,8 +66,6 @@ impl Default for SampledOptions {
         SampledOptions {
             windows: 32,
             fraction: 0.25,
-            cuts_path: None,
-            jobs: 1,
         }
     }
 }
@@ -107,8 +95,7 @@ impl Estimate {
 /// One workload's sampled-mode estimates.
 ///
 /// Deliberately excludes whole-run totals (total cycles, coverage):
-/// a warm run never learns them, and the report must be byte-identical
-/// between cold and warm runs.
+/// the report carries only what the measurement windows observed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampledReport {
     /// Workload name.
@@ -143,7 +130,7 @@ struct WindowSample {
 ///
 /// # Errors
 ///
-/// [`SimError`] when a window (or the cold forward pass) fails.
+/// [`SimError`] when a window (or the forward pass) fails.
 pub fn sampled_report(
     workload: &Workload,
     cfg: &SimConfig,
@@ -151,10 +138,20 @@ pub fn sampled_report(
     opts: &SampledOptions,
 ) -> Result<SampledReport, SimError> {
     let program = workload.program();
-    let plan = obtain_plan(cfg, trace, opts, &program)?;
+    let plan = match slice::plan_auto(
+        cfg,
+        &program,
+        trace,
+        opts.windows.max(1),
+        SAMPLE_GRAIN_CYCLES,
+    ) {
+        Ok(fwd) => fwd.plan,
+        Err(SliceError::Sim(e)) => return Err(e),
+        Err(e) => panic!("sampled forward pass failed structurally: {e}"),
+    };
     let window_cycles = window_length(&plan, opts.fraction);
 
-    let samples = measure_windows(&plan, &program, trace, window_cycles, opts.jobs)?;
+    let samples = measure_windows(&plan, &program, trace, window_cycles)?;
 
     let mut ipc = Accumulator::new();
     let mut energy = Accumulator::new();
@@ -185,47 +182,6 @@ pub fn sampled_report(
     })
 }
 
-/// Loads (or builds and caches) the cut plan the windows resume from.
-fn obtain_plan(
-    cfg: &SimConfig,
-    trace: &PowerTrace,
-    opts: &SampledOptions,
-    program: &Program,
-) -> Result<SlicePlan, SimError> {
-    if let Some(path) = &opts.cuts_path {
-        if let Some(plan) = crate::slice::load_plan(path, cfg) {
-            // Entry identities are verified when each window resumes; a
-            // stale plan surfaces as a Snapshot error below and a cold
-            // rebuild (one level of retry, then the error is real).
-            if plan_resumable(&plan, program, trace) {
-                return Ok(plan);
-            }
-            let _ = std::fs::remove_file(path);
-        }
-    }
-    let fwd = match slice::plan_auto(
-        cfg,
-        program,
-        trace,
-        opts.windows.max(1),
-        SAMPLE_GRAIN_CYCLES,
-    ) {
-        Ok(f) => f,
-        Err(SliceError::Sim(e)) => return Err(e),
-        Err(e) => panic!("sampled forward pass failed structurally: {e}"),
-    };
-    if let Some(path) = &opts.cuts_path {
-        crate::slice::store_plan(path, &fwd.plan);
-    }
-    Ok(fwd.plan)
-}
-
-/// Cheap staleness probe: can the plan's first entry resume against
-/// this program/trace?
-fn plan_resumable(plan: &SlicePlan, program: &Program, trace: &PowerTrace) -> bool {
-    Machine::resume(&plan.entries[0], program, trace.clone()).is_ok()
-}
-
 /// Picks the common window length: `fraction` of the median inter-cut
 /// spacing, floored at [`MIN_WINDOW_CYCLES`]. A single-cut plan (the
 /// whole program fits in one grain) measures everything — the estimate
@@ -245,15 +201,13 @@ fn window_length(plan: &SlicePlan, fraction: f64) -> u64 {
     ((median as f64 * frac) as u64).max(MIN_WINDOW_CYCLES)
 }
 
-/// Simulates one measurement window per plan entry, in parallel.
+/// Simulates one measurement window per plan entry, in plan order.
 fn measure_windows(
     plan: &SlicePlan,
     program: &Program,
     trace: &PowerTrace,
     window_cycles: u64,
-    jobs: usize,
 ) -> Result<Vec<WindowSample>, SimError> {
-    let n = plan.len();
     let run_window = |i: usize| -> Result<WindowSample, SimError> {
         let mut machine = Machine::resume(&plan.entries[i], program, trace.clone())
             .unwrap_or_else(|e| panic!("window {i} cannot resume its own plan entry: {e}"));
@@ -272,33 +226,7 @@ fn measure_windows(
         })
     };
 
-    let workers = jobs.max(1).min(n);
-    if workers <= 1 {
-        return (0..n).map(run_window).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Result<WindowSample, SimError>>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (next, tx, run_window) = (&next, tx.clone(), &run_window);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if tx.send(run_window(i)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut samples: Vec<WindowSample> = Vec::with_capacity(n);
-    for s in rx {
-        samples.push(s?);
-    }
-    samples.sort_by_key(|s| s.index);
-    Ok(samples)
+    (0..plan.len()).map(run_window).collect()
 }
 
 #[cfg(test)]
@@ -331,28 +259,5 @@ mod tests {
             report.energy_nj_per_cycle.ci95
         );
         assert!(report.windows >= 2, "gsmd must yield several windows");
-    }
-
-    #[test]
-    fn report_is_byte_identical_cold_and_warm() {
-        let (workload, cfg, trace) = setup();
-        let dir = std::env::temp_dir().join(format!(
-            "ehs-sampled-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = SampledOptions {
-            cuts_path: Some(dir.join("gsmd.cuts.json")),
-            jobs: 2,
-            ..SampledOptions::default()
-        };
-        let cold = sampled_report(workload, &cfg, &trace, &opts).unwrap();
-        let warm = sampled_report(workload, &cfg, &trace, &opts).unwrap();
-        assert_eq!(
-            serde_json::to_string(&cold).unwrap(),
-            serde_json::to_string(&warm).unwrap()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

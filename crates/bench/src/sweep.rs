@@ -111,13 +111,13 @@ pub struct SweepOptions {
     /// `--no-cache` run re-simulates every point yet still survives
     /// being killed mid-flight.
     pub checkpoints: Option<CheckpointPolicy>,
-    /// Time-sliced execution: `Some(k)` with `k >= 2` routes every
-    /// simulated miss through [`crate::slice::run_one_sliced`] (cut
-    /// plans are cached next to the result cache when `disk_cache` is
-    /// set). Results are bit-identical to monolithic runs — the digest
-    /// chain is asserted per point. `None`/`Some(1)` is the monolithic
-    /// engine.
-    pub slices: Option<usize>,
+    /// Always `None`; nothing reads it. Sliced execution of sweep
+    /// misses was removed (it lost to the plain engine at every slice
+    /// count), but the standalone `ehs_benchmark` package still writes
+    /// `slices: None` in a struct literal, so the field stays, typed so
+    /// that `None` is its only value. New code writes
+    /// `..SweepOptions::default()` instead.
+    pub slices: Option<std::convert::Infallible>,
 }
 
 /// Upper bound on the worker-pool width. No real machine this harness
@@ -213,7 +213,6 @@ enum Slot {
 /// The deduplicating, memoizing simulation engine. See the module docs.
 pub struct Sweep {
     jobs: usize,
-    slices: usize,
     disk_cache: Option<PathBuf>,
     checkpoints: Option<CheckpointPolicy>,
     state: Mutex<HashMap<PointKey, Slot>>,
@@ -240,7 +239,6 @@ impl Sweep {
         });
         Sweep {
             jobs: jobs.clamp(1, MAX_JOBS),
-            slices: opts.slices.unwrap_or(1).max(1),
             disk_cache: opts.disk_cache,
             checkpoints: opts.checkpoints,
             state: Mutex::new(HashMap::new()),
@@ -269,12 +267,6 @@ impl Sweep {
     /// it from the options they passed in.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// The slice budget misses simulate under (1 = monolithic). Like
-    /// [`Sweep::jobs`], the resolved value for callers recording it.
-    pub fn slices(&self) -> usize {
-        self.slices
     }
 
     /// The standard on-disk cache location, `<results>/​.cache`.
@@ -432,53 +424,29 @@ impl Sweep {
                     .unwrap_or_else(|| panic!("unknown workload `{}` in sweep", point.workload));
                 let trace = self.materialise(&point.trace);
                 self.simulated.fetch_add(1, Ordering::Relaxed);
-                let r = if self.slices >= 2 {
-                    // Sliced execution: bit-identical by construction
-                    // (the digest chain is asserted inside), so the
-                    // published result — and every figure derived from
-                    // it — matches a monolithic engine's byte-for-byte.
-                    let opts = crate::slice::SliceRunOptions {
-                        slices: self.slices,
-                        jobs: self.jobs,
-                        cuts_path: self
-                            .disk_cache
-                            .as_ref()
-                            .map(|d| crate::slice::cuts_path(d, key, self.slices)),
-                    };
-                    match crate::slice::run_one_sliced(workload, &point.config, &trace, &opts) {
-                        Ok(run) => {
-                            self.cycles_simulated
-                                .fetch_add(run.cycles_simulated, Ordering::Relaxed);
-                            Ok(run.result)
+                let r = match &self.checkpoints {
+                    Some(policy) => {
+                        let out = crate::run_one_checkpointed(
+                            workload,
+                            &point.config,
+                            &trace,
+                            &policy.path_for(key),
+                            policy.every_cycles,
+                        );
+                        if out.resumed_from.is_some() {
+                            self.resumed.fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(e) => Err(e),
+                        self.cycles_simulated
+                            .fetch_add(out.cycles_simulated, Ordering::Relaxed);
+                        out.result
                     }
-                } else {
-                    match &self.checkpoints {
-                        Some(policy) => {
-                            let out = crate::run_one_checkpointed(
-                                workload,
-                                &point.config,
-                                &trace,
-                                &policy.path_for(key),
-                                policy.every_cycles,
-                            );
-                            if out.resumed_from.is_some() {
-                                self.resumed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            self.cycles_simulated
-                                .fetch_add(out.cycles_simulated, Ordering::Relaxed);
-                            out.result
-                        }
-                        None => {
-                            // Counted even when the outcome is an error: a
-                            // point that hit its cycle budget or faulted
-                            // still simulated every one of those cycles.
-                            let (r, cycles) =
-                                crate::run_one_counted(workload, &point.config, &trace);
-                            self.cycles_simulated.fetch_add(cycles, Ordering::Relaxed);
-                            r
-                        }
+                    None => {
+                        // Counted even when the outcome is an error: a
+                        // point that hit its cycle budget or faulted
+                        // still simulated every one of those cycles.
+                        let (r, cycles) = crate::run_one_counted(workload, &point.config, &trace);
+                        self.cycles_simulated.fetch_add(cycles, Ordering::Relaxed);
+                        r
                     }
                 };
                 if let Ok(ok) = &r {
@@ -676,9 +644,8 @@ mod tests {
         let cold = Sweep::in_memory().get(&point).unwrap();
         let sweep = Sweep::new(SweepOptions {
             jobs: Some(1),
-            disk_cache: None,
             checkpoints: Some(policy.clone()),
-            slices: None,
+            ..SweepOptions::default()
         });
         let warm = sweep.get(&point).unwrap();
         let stats = sweep.stats();
@@ -714,21 +681,6 @@ mod tests {
             "absurd widths clamp instead of spawning 10k threads"
         );
         assert_eq!(parse_jobs(&u64::MAX.to_string()), Some(MAX_JOBS));
-    }
-
-    #[test]
-    fn sliced_engine_publishes_the_monolithic_result() {
-        let p = tiny_point();
-        let mono = Sweep::in_memory().get(&p).unwrap();
-        let sliced = Sweep::new(SweepOptions {
-            jobs: Some(2),
-            slices: Some(3),
-            ..SweepOptions::default()
-        });
-        assert_eq!(sliced.slices(), 3);
-        let r = sliced.get(&p).unwrap();
-        assert_eq!(r, mono, "sliced sweep must be bit-identical");
-        assert_eq!(sliced.stats().simulated, 1);
     }
 
     #[test]

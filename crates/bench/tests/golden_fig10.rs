@@ -41,10 +41,8 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
     let cold_dir = tmp_dir("cold");
     {
         let sweep = Sweep::new(SweepOptions {
-            slices: None,
-            jobs: None,
             disk_cache: Some(cache_dir.clone()),
-            checkpoints: None,
+            ..SweepOptions::default()
         });
         let points = fig.points();
         let unique: HashSet<_> = points.iter().map(|p| p.key()).collect();
@@ -68,10 +66,8 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
     let warm_dir = tmp_dir("warm");
     {
         let sweep = Sweep::new(SweepOptions {
-            slices: None,
-            jobs: None,
             disk_cache: Some(cache_dir.clone()),
-            checkpoints: None,
+            ..SweepOptions::default()
         });
         let cx = RenderCx {
             sweep: &sweep,

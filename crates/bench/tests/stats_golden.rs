@@ -94,10 +94,9 @@ fn stats_json_is_identical_cold_warm_and_resumed() {
     let cache = unique_dir("cache");
     let out_cold = unique_dir("out-cold");
     let cold_sweep = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(cache.clone()),
-        checkpoints: None,
+        ..SweepOptions::default()
     });
     let cold = stats_bytes(&cold_sweep, &plan, &out_cold);
     assert!(cold_sweep.stats().simulated > 0, "cold run must simulate");
@@ -106,10 +105,9 @@ fn stats_json_is_identical_cold_warm_and_resumed() {
     // disk and must emit the same bytes.
     let out_warm = unique_dir("out-warm");
     let warm_sweep = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(cache.clone()),
-        checkpoints: None,
+        ..SweepOptions::default()
     });
     let warm = stats_bytes(&warm_sweep, &plan, &out_warm);
     let warm_stats = warm_sweep.stats();
@@ -139,10 +137,10 @@ fn stats_json_is_identical_cold_warm_and_resumed() {
 
     let out_resumed = unique_dir("out-resumed");
     let resumed_sweep = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(ckpt_cache.clone()),
         checkpoints: Some(policy),
+        ..SweepOptions::default()
     });
     let resumed = stats_bytes(&resumed_sweep, &plan, &out_resumed);
     let resumed_stats = resumed_sweep.stats();

@@ -84,10 +84,9 @@ fn disk_cache_round_trips_and_survives_a_new_engine() {
     let p = tiny_point();
 
     let first = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(dir.clone()),
-        checkpoints: None,
+        ..SweepOptions::default()
     });
     let r1 = first.get(&p).expect("simulates fine");
     let s1 = first.stats();
@@ -99,10 +98,9 @@ fn disk_cache_round_trips_and_survives_a_new_engine() {
 
     // A brand-new engine over the same directory must not simulate.
     let second = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(dir.clone()),
-        checkpoints: None,
+        ..SweepOptions::default()
     });
     let r2 = second.get(&p).expect("loads from cache");
     let s2 = second.stats();
@@ -122,20 +120,18 @@ fn corrupt_cache_entry_is_a_miss_not_a_crash() {
     let p = tiny_point();
 
     let first = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(dir.clone()),
-        checkpoints: None,
+        ..SweepOptions::default()
     });
     let _ = first.get(&p).expect("simulates fine");
     let entry = dir.join(format!("{}.json", p.key()));
     std::fs::write(&entry, b"{ not json").expect("clobber the entry");
 
     let second = Sweep::new(SweepOptions {
-        slices: None,
         jobs: Some(1),
         disk_cache: Some(dir.clone()),
-        checkpoints: None,
+        ..SweepOptions::default()
     });
     let _ = second.get(&p).expect("re-simulates");
     let s = second.stats();

@@ -56,10 +56,10 @@ fn interrupted_sweep_resumes_with_byte_identical_results() {
         every_cycles: 25_000,
     };
     let opts = || SweepOptions {
-        slices: None,
         jobs: Some(2),
         disk_cache: None, // the `--no-cache` shape: results never persist
         checkpoints: Some(policy.clone()),
+        ..SweepOptions::default()
     };
 
     // Cold reference run.

@@ -43,7 +43,7 @@ pub use config::{PrefetchMode, SimConfig, CYCLES_PER_TRACE_SAMPLE};
 pub const ENGINE_ID: &str = "predecode-v1";
 pub use machine::{CycleMark, FaultPlan, Machine, RunStatus, SimError};
 pub use result::{SimResult, SimStats};
-pub use slice::{ForwardPass, SliceError, SliceOutcome, SlicePlan, Stitched};
+pub use slice::{ForwardPass, SliceError, SlicePlan, Stitched};
 pub use snapshot::{MemRun, Phase, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use trace::{
     CountingSink, EventCounts, JsonlSink, NullSink, PathId, SimEvent, TraceMode, TraceSink, Tracer,

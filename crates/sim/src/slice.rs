@@ -37,16 +37,16 @@
 //! original pause point exactly.
 //!
 //! The forward pass itself is a full simulation — state at a boundary
-//! requires every cycle before it — so a *cold* sliced run cannot beat
-//! the monolithic run. The wins are (a) a self-verifying execution
-//! (every slice's landing is digest-checked against the plan) and
-//! (b) plans are serializable: a cached plan turns every later run of
-//! the same point into K independent jobs of ~1/K the work each (see
-//! `ehs_bench::slice`).
+//! requires every cycle before it — so a sliced run cannot beat the
+//! monolithic run, and the sweep engine does not slice. What slicing
+//! buys is verification and exact warm states: every slice's landing
+//! is digest-checked against the plan (the `verify slices` oracle and
+//! the snapshot proptests), and the entry snapshots are the bit-exact
+//! states sampled mode (`ehs_bench::sampled`) starts its measurement
+//! windows from.
 
 use ehs_energy::PowerTrace;
 use ehs_isa::Program;
-use serde::{Deserialize, Serialize};
 
 use crate::machine::{Machine, RunStatus, SimError};
 use crate::result::SimResult;
@@ -60,7 +60,7 @@ use crate::SimConfig;
 /// pause target that, applied to a machine in state `entries[i]`,
 /// produces exactly `entries[i + 1]`. The final slice (`entries[K-1]`)
 /// has no target: it runs to completion.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlicePlan {
     /// Slice-entry snapshots, in execution order.
     pub entries: Vec<Snapshot>,
@@ -79,58 +79,6 @@ impl SlicePlan {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Structural sanity checks for plans loaded from untrusted storage
-    /// (the identity digests inside each snapshot are still verified by
-    /// [`Machine::resume`] when a slice runs).
-    pub fn validate(&self) -> Result<(), SliceError> {
-        if self.entries.is_empty() {
-            return Err(SliceError::BadPlan("plan has no entry snapshots".into()));
-        }
-        if self.targets.len() + 1 != self.entries.len() {
-            return Err(SliceError::BadPlan(format!(
-                "{} entries need {} targets, found {}",
-                self.entries.len(),
-                self.entries.len() - 1,
-                self.targets.len()
-            )));
-        }
-        let first = &self.entries[0];
-        for (i, e) in self.entries.iter().enumerate().skip(1) {
-            if e.program_digest != first.program_digest || e.trace_digest != first.trace_digest {
-                return Err(SliceError::BadPlan(format!(
-                    "entry {i} identifies a different program/trace than entry 0"
-                )));
-            }
-            if e.cycle < self.entries[i - 1].cycle {
-                return Err(SliceError::BadPlan(format!(
-                    "entry {i} at cycle {} precedes entry {} at cycle {}",
-                    e.cycle,
-                    i - 1,
-                    self.entries[i - 1].cycle
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Serializes the plan to JSON (for `ehs_bench`'s cut cache).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("slice plan serialization cannot fail")
-    }
-
-    /// Parses a plan from JSON and validates its structure.
-    ///
-    /// # Errors
-    ///
-    /// [`SliceError::BadPlan`] on malformed JSON or inconsistent
-    /// entry/target counts.
-    pub fn from_json(json: &str) -> Result<SlicePlan, SliceError> {
-        let plan: SlicePlan = serde_json::from_str(json)
-            .map_err(|e| SliceError::BadPlan(format!("bad plan JSON: {e}")))?;
-        plan.validate()?;
-        Ok(plan)
-    }
 }
 
 /// Everything a completed forward pass knows: the plan, plus the
@@ -148,7 +96,7 @@ pub struct ForwardPass {
 
 /// What one slice produced.
 #[derive(Debug, Clone)]
-pub enum SliceOutcome {
+enum SliceOutcome {
     /// A non-final slice reached its pause target; `exit_digest` must
     /// equal the next entry snapshot's digest.
     Boundary {
@@ -371,7 +319,7 @@ fn thin(entries: &mut Vec<Snapshot>, targets: &mut Vec<u64>) {
 /// [`SliceError::BadPlan`] for an out-of-range index,
 /// [`SliceError::Snapshot`] if the entry does not match
 /// `program`/`trace`, [`SliceError::Sim`] if the simulation fails.
-pub fn run_slice(
+fn run_slice(
     plan: &SlicePlan,
     index: usize,
     program: &Program,
@@ -414,7 +362,7 @@ pub fn run_slice(
 /// [`SliceError::DigestMismatch`], [`SliceError::ShortRun`],
 /// [`SliceError::NotCompleted`], or [`SliceError::BadPlan`] when
 /// `outcomes` and the plan disagree in length.
-pub fn stitch(plan: &SlicePlan, outcomes: &[SliceOutcome]) -> Result<Stitched, SliceError> {
+fn stitch(plan: &SlicePlan, outcomes: &[SliceOutcome]) -> Result<Stitched, SliceError> {
     if outcomes.len() != plan.len() {
         return Err(SliceError::BadPlan(format!(
             "{} outcomes for a {}-slice plan",
@@ -451,8 +399,7 @@ pub fn stitch(plan: &SlicePlan, outcomes: &[SliceOutcome]) -> Result<Stitched, S
 }
 
 /// Runs every slice of a plan serially (in order) and stitches — the
-/// single-threaded reference executor used by tests and the verify
-/// oracle. `ehs_bench::slice` provides the parallel fan-out.
+/// only slice executor, used by tests and the verify oracle.
 ///
 /// # Errors
 ///
@@ -535,16 +482,6 @@ mod tests {
         let stitched = run_sliced_serial(&plan, &program, &trace).unwrap();
         assert_eq!(stitched.result, truth);
         assert_eq!(stitched.state_digest, truth_digest);
-    }
-
-    #[test]
-    fn plan_round_trips_through_json() {
-        let (cfg, program, trace) = setup();
-        let plan = plan_at(&cfg, &program, &trace, &[60_000]).unwrap();
-        let back = SlicePlan::from_json(&plan.to_json()).unwrap();
-        assert_eq!(back.targets, plan.targets);
-        assert_eq!(back.entries.len(), plan.entries.len());
-        assert_eq!(back.entries[1].digest(), plan.entries[1].digest());
     }
 
     #[test]

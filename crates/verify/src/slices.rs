@@ -25,8 +25,8 @@ use ehs_sim::Machine;
 use crate::oracle::ConfigId;
 use crate::run_parallel;
 
-/// Snapshot spacing of the forward pass — matches the bench layer's
-/// cut grain so the oracle exercises the plans production runs use.
+/// Snapshot spacing of the forward pass: fine enough that even the
+/// shortest suite workloads split into several slices.
 pub const SLICE_GRAIN_CYCLES: u64 = 50_000;
 
 /// One cell of the slice-equivalence sweep.
