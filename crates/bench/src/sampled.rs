@@ -30,8 +30,13 @@
 //! forward simulation, and the windows then re-simulate
 //! `windows × window_cycles` cycles on top, so a sampled run always
 //! costs more than the plain run it estimates, and the cuts are rebuilt
-//! on every call. The mode exists to show how well systematic sampling
-//! estimates these workloads (fig27), not to save time.
+//! on every call. Simulation is now the whole cost. It was not while
+//! a snapshot and a resume each hashed the 16 MB memory image: then
+//! about 1,460 snapshots and 470 resumes took all but 0.8 s of fig27's
+//! 37 s. Now they cost only the pages a run wrote, and fig27 takes
+//! 1.5–2.2 s on a 2-vCPU host. The mode exists to show how well
+//! systematic sampling estimates these workloads (fig27), not to save
+//! time.
 
 use ehs_energy::PowerTrace;
 use ehs_isa::Program;

@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use ehs_energy::{PowerTrace, TraceSpec};
 use ehs_sim::canon;
@@ -219,7 +219,7 @@ pub struct Sweep {
     ready: Condvar,
     /// Materialised power traces, keyed by the spec's canonical JSON
     /// (each trace is synthesized once and shared by every point).
-    traces: Mutex<HashMap<String, Arc<PowerTrace>>>,
+    traces: Mutex<HashMap<String, PowerTrace>>,
     requested: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -462,12 +462,12 @@ impl Sweep {
     }
 
     /// Synthesizes (or reuses) the power trace a spec describes.
-    fn materialise(&self, spec: &TraceSpec) -> Arc<PowerTrace> {
+    fn materialise(&self, spec: &TraceSpec) -> PowerTrace {
         let id = canon::canonical_json(spec);
         let mut traces = self.traces.lock().expect("trace store poisoned");
         traces
             .entry(id)
-            .or_insert_with(|| Arc::new(spec.synthesize()))
+            .or_insert_with(|| spec.synthesize())
             .clone()
     }
 

@@ -14,9 +14,11 @@
 //!   and noise, still interrupted by weak spells (the paper notes even
 //!   these traces cause frequent outages with a 0.47 µF capacitor).
 
+use std::sync::{Arc, OnceLock};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 
 /// Trace sample interval in microseconds (paper: 10 µs).
 pub const TRACE_SAMPLE_US: f64 = 10.0;
@@ -123,7 +125,8 @@ impl TraceKind {
                 }
             }
         }
-        PowerTrace { power_mw }
+        // Finite and non-negative by construction: no validation pass.
+        PowerTrace::from_valid(power_mw)
     }
 }
 
@@ -234,10 +237,18 @@ impl TraceSpec {
 /// A harvested-power trace: average input power per 10 µs interval.
 ///
 /// Traces repeat cyclically when the simulation outlives them, matching
-/// the paper's "record and replay" methodology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the paper's "record and replay" methodology. Clones share the
+/// samples and the identity digest, so cloning is O(1).
+#[derive(Debug, Clone)]
 pub struct PowerTrace {
+    shared: Arc<Samples>,
+}
+
+#[derive(Debug)]
+struct Samples {
     power_mw: Vec<f64>,
+    /// [`PowerTrace::digest`], computed on first use.
+    digest: OnceLock<u64>,
 }
 
 impl PowerTrace {
@@ -245,17 +256,32 @@ impl PowerTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `power_mw` is empty or contains a negative sample.
+    /// Panics if `power_mw` is empty or contains a negative or
+    /// non-finite sample.
     pub fn from_samples_mw(power_mw: Vec<f64>) -> PowerTrace {
-        assert!(
-            !power_mw.is_empty(),
-            "trace must contain at least one sample"
-        );
-        assert!(
-            power_mw.iter().all(|p| *p >= 0.0),
-            "power samples must be non-negative"
-        );
-        PowerTrace { power_mw }
+        PowerTrace::validated(power_mw).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The validating constructor behind [`PowerTrace::from_samples_mw`],
+    /// [`PowerTrace::from_text`] and deserialization.
+    fn validated(power_mw: Vec<f64>) -> Result<PowerTrace, String> {
+        if power_mw.is_empty() {
+            return Err("trace must contain at least one sample".to_owned());
+        }
+        if !power_mw.iter().all(|p| p.is_finite() && *p >= 0.0) {
+            return Err("power samples must be finite and non-negative".to_owned());
+        }
+        Ok(PowerTrace::from_valid(power_mw))
+    }
+
+    /// Wraps samples already known to be valid.
+    fn from_valid(power_mw: Vec<f64>) -> PowerTrace {
+        PowerTrace {
+            shared: Arc::new(Samples {
+                power_mw,
+                digest: OnceLock::new(),
+            }),
+        }
     }
 
     /// A constant-power trace (useful in tests and for ideal-supply
@@ -264,20 +290,25 @@ impl PowerTrace {
         PowerTrace::from_samples_mw(vec![mw; samples])
     }
 
+    fn samples(&self) -> &[f64] {
+        &self.shared.power_mw
+    }
+
     /// Number of 10 µs samples.
     pub fn len(&self) -> usize {
-        self.power_mw.len()
+        self.samples().len()
     }
 
     /// `true` if the trace has no samples (never constructible).
     pub fn is_empty(&self) -> bool {
-        self.power_mw.is_empty()
+        self.samples().is_empty()
     }
 
     /// Input power (mW) during sample `idx`, repeating cyclically.
     #[inline]
     pub fn power_mw_at(&self, idx: u64) -> f64 {
-        self.power_mw[(idx % self.power_mw.len() as u64) as usize]
+        let s = self.samples();
+        s[(idx % s.len() as u64) as usize]
     }
 
     /// Harvested energy in nanojoules over one core cycle (5 ns) during
@@ -287,23 +318,45 @@ impl PowerTrace {
         crate::mw_to_nj_per_cycle(self.power_mw_at(idx))
     }
 
+    /// Identity digest: 64-bit FNV-1a over the sample count and every
+    /// sample's IEEE-754 bit pattern, all little-endian. Two traces
+    /// digest equal iff every sample is the same f64. Computed once and
+    /// shared by every clone.
+    pub fn digest(&self) -> u64 {
+        *self.shared.digest.get_or_init(|| {
+            const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+            const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+            let fold = |h: u64, word: u64| {
+                word.to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+            };
+            let h = fold(FNV_OFFSET, self.len() as u64);
+            self.samples().iter().fold(h, |h, p| fold(h, p.to_bits()))
+        })
+    }
+
     /// Mean power over the whole trace, in milliwatts.
     pub fn mean_power_mw(&self) -> f64 {
-        self.power_mw.iter().sum::<f64>() / self.power_mw.len() as f64
+        self.samples().iter().sum::<f64>() / self.len() as f64
     }
 
     /// Fraction of samples at or above `threshold_mw` (a proxy for the
     /// "stable energy portion" the paper discusses in §6.7.9).
     pub fn stable_fraction(&self, threshold_mw: f64) -> f64 {
-        let n = self.power_mw.iter().filter(|p| **p >= threshold_mw).count();
-        n as f64 / self.power_mw.len() as f64
+        let n = self
+            .samples()
+            .iter()
+            .filter(|p| **p >= threshold_mw)
+            .count();
+        n as f64 / self.len() as f64
     }
 
     /// Serialises to the paper's text format: one average-power value
     /// (milliwatts) per line.
     pub fn to_text(&self) -> String {
-        let mut s = String::with_capacity(self.power_mw.len() * 8);
-        for p in &self.power_mw {
+        let mut s = String::with_capacity(self.len() * 8);
+        for p in self.samples() {
             s.push_str(&format!("{p:.6}\n"));
         }
         s
@@ -314,7 +367,7 @@ impl PowerTrace {
     /// # Errors
     ///
     /// Returns a message naming the offending line if any line is not a
-    /// non-negative number, or if the file holds no samples.
+    /// finite non-negative number, or if the file holds no samples.
     pub fn from_text(text: &str) -> Result<PowerTrace, String> {
         let mut power_mw = Vec::new();
         for (i, line) in text.lines().enumerate() {
@@ -333,10 +386,32 @@ impl PowerTrace {
             }
             power_mw.push(v);
         }
-        if power_mw.is_empty() {
-            return Err("trace contains no samples".to_owned());
-        }
-        Ok(PowerTrace { power_mw })
+        PowerTrace::validated(power_mw)
+    }
+}
+
+impl PartialEq for PowerTrace {
+    fn eq(&self, other: &PowerTrace) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared) || self.samples() == other.samples()
+    }
+}
+
+/// Same wire shape as a derived `{"power_mw": [...]}` struct.
+impl Serialize for PowerTrace {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![("power_mw".to_owned(), self.samples().to_content())])
+    }
+}
+
+/// Goes through the validating constructor: an empty or non-finite
+/// trace is an error, not a panic waiting in [`PowerTrace::power_mw_at`].
+impl Deserialize for PowerTrace {
+    fn from_content(c: &Content) -> Result<PowerTrace, serde::Error> {
+        let map = c
+            .as_map()
+            .ok_or_else(|| serde::Error::expected("a power trace map"))?;
+        let power_mw = Vec::<f64>::from_content(serde::map_field(map, "power_mw")?)?;
+        PowerTrace::validated(power_mw).map_err(serde::Error::custom)
     }
 }
 
@@ -499,5 +574,47 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn empty_trace_panics() {
         PowerTrace::from_samples_mw(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn infinite_sample_panics() {
+        PowerTrace::from_samples_mw(vec![1.0, f64::INFINITY]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn nan_sample_panics() {
+        PowerTrace::from_samples_mw(vec![f64::NAN]);
+    }
+
+    #[test]
+    fn from_text_rejects_non_finite() {
+        assert!(PowerTrace::from_text("1.0\ninf\n").is_err());
+        assert!(PowerTrace::from_text("NaN\n").is_err());
+    }
+
+    #[test]
+    fn serde_round_trips_and_validates() {
+        let tr = TraceKind::RfHome.synthesize(3, 50);
+        let json = serde_json::to_string(&tr).unwrap();
+        assert!(json.starts_with("{\"power_mw\":["), "{json}");
+        let back: PowerTrace = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, tr);
+        assert_eq!(back.digest(), tr.digest());
+        // Empty: an error, not a trace whose `power_mw_at` divides by 0.
+        assert!(serde_json::from_str::<PowerTrace>(r#"{"power_mw":[]}"#).is_err());
+        assert!(serde_json::from_str::<PowerTrace>(r#"{"power_mw":[1.0,-2.0]}"#).is_err());
+        assert!(serde_json::from_str::<PowerTrace>(r#"{"power_mw":[1.0,1e999]}"#).is_err());
+    }
+
+    #[test]
+    fn clones_share_samples_and_digest() {
+        let a = TraceKind::Solar.synthesize(1, 1000);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a.digest(), TraceKind::Solar.synthesize(1, 1000).digest());
+        assert_ne!(a.digest(), TraceKind::Solar.synthesize(2, 1000).digest());
     }
 }

@@ -14,6 +14,7 @@
 //!    exactly sequential execution; outages only change *timing* and
 //!    *energy*.
 
+use crate::image::{paged_digest, LoadImage, PageMap};
 use crate::predecode::DecodeCache;
 use crate::{ExecClass, ExecError, Instr, MemWidth, Program, Reg, STACK_TOP};
 
@@ -63,6 +64,9 @@ pub struct Interpreter {
     regs: [u32; 16],
     pc: u32,
     mem: Vec<u8>,
+    /// Pages ever written (by the program load, a store or
+    /// [`Interpreter::write_bytes`]); every other page is zero.
+    written: PageMap,
     halted: bool,
     executed: u64,
     /// Pre-decoded text segment (derived state, never serialized; kept
@@ -86,17 +90,9 @@ impl Interpreter {
     ///
     /// Panics if the program image does not fit in `mem_bytes`.
     pub fn with_mem_size(program: &Program, mem_bytes: usize) -> Interpreter {
+        let image = LoadImage::new(program, mem_bytes);
         let mut mem = vec![0u8; mem_bytes];
-        for seg in program.segments() {
-            let base = seg.base as usize;
-            assert!(
-                base + seg.bytes.len() <= mem.len(),
-                "program segment at {:#x} exceeds memory size {:#x}",
-                seg.base,
-                mem_bytes
-            );
-            mem[base..base + seg.bytes.len()].copy_from_slice(&seg.bytes);
-        }
+        image.overlay(0, &mut mem);
         let mut regs = [0u32; 16];
         regs[Reg::Sp.index()] = STACK_TOP.min(mem_bytes as u32 - 16);
         let predec = DecodeCache::build(&mem, program.text_end());
@@ -104,6 +100,7 @@ impl Interpreter {
             regs,
             pc: program.entry,
             mem,
+            written: image.pages().clone(),
             halted: false,
             executed: 0,
             predec,
@@ -166,14 +163,22 @@ impl Interpreter {
         self.regs
     }
 
-    /// FNV-1a digest of the entire memory image.
+    /// FNV-1a digest of the entire memory image, equal to
+    /// [`mem_digest_of`](crate::mem_digest_of) of [`Interpreter::mem`].
     ///
-    /// Used by the differential oracle in `ehs-verify` to compare the
-    /// final memory state of the golden interpreter against the
-    /// cycle-level machine without copying 16 MB around. Chunked over
-    /// 8-byte words so it stays cheap even in debug builds.
+    /// Used by the differential oracle in `ehs-verify` and by snapshots.
+    /// Only written pages are read; each unwritten (zero) page costs one
+    /// multiply, so the digest costs what the run wrote.
     pub fn mem_digest(&self) -> u64 {
-        mem_digest_of(&self.mem)
+        paged_digest(self.mem.len(), &self.written, |addr, buf| {
+            buf.copy_from_slice(&self.mem[addr..addr + buf.len()])
+        })
+    }
+
+    /// The pages written so far (program load included); every page
+    /// outside it is zero.
+    pub fn written_pages(&self) -> &PageMap {
+        &self.written
     }
 
     /// Reads a little-endian word from memory (for assertions in tests).
@@ -211,6 +216,7 @@ impl Interpreter {
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
         let a = addr as usize;
         self.mem[a..a + bytes.len()].copy_from_slice(bytes);
+        self.written.mark(a, bytes.len());
         self.predec.refresh_range(&self.mem, addr, bytes.len());
     }
 
@@ -270,8 +276,10 @@ impl Interpreter {
             MemWidth::Half => self.mem[a..a + 2].copy_from_slice(&(value as u16).to_le_bytes()),
             MemWidth::Word => self.mem[a..a + 4].copy_from_slice(&value.to_le_bytes()),
         }
-        // Self-modifying code: the access is aligned and at most one
-        // word wide, so at most one pre-decoded slot can change.
+        // The access is aligned and at most one word wide, so it stays
+        // in one page and (self-modifying code) can change at most one
+        // pre-decoded slot.
+        self.written.mark_addr(a);
         self.predec.refresh_word(&self.mem, addr);
         Ok(())
     }
@@ -474,32 +482,6 @@ impl Interpreter {
         }
         Ok(self.executed - start)
     }
-}
-
-/// FNV-1a over 8-byte little-endian chunks (plus a length-tagged tail).
-///
-/// Shared by [`Interpreter::mem_digest`] and the simulator's equivalent
-/// accessor so both sides hash identically.
-pub fn mem_digest_of(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-        h ^= w;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h ^= u64::from_le_bytes(tail);
-        h = h.wrapping_mul(FNV_PRIME);
-        h ^= rem.len() as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]

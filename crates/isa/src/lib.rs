@@ -21,6 +21,8 @@
 //! * [`Interpreter`] — a functional (untimed) reference interpreter used to
 //!   validate workloads and as a differential-testing oracle for the
 //!   cycle-level simulator.
+//! * [`PageMap`] and [`LoadImage`] — page-granular views of a memory
+//!   image, so digests and snapshot deltas cost what a run wrote.
 //!
 //! ```
 //! use ehs_isa::{asm, Interpreter};
@@ -44,6 +46,7 @@
 
 pub mod asm;
 mod error;
+mod image;
 mod instr;
 mod interp;
 mod predecode;
@@ -51,7 +54,8 @@ mod program;
 mod reg;
 
 pub use error::{AsmError, ExecError};
+pub use image::{mem_digest_of, LoadImage, PageMap, PAGE_BYTES};
 pub use instr::{imm18_range, imm22_range, DecodeError, ExecClass, Instr, MemWidth};
-pub use interp::{mem_digest_of, AccessKind, Interpreter, MemAccess, Step, DEFAULT_MEM_BYTES};
+pub use interp::{AccessKind, Interpreter, MemAccess, Step, DEFAULT_MEM_BYTES};
 pub use program::{Program, Segment, DATA_BASE, STACK_TOP, TEXT_BASE};
 pub use reg::{ParseRegError, Reg, NUM_REGS};

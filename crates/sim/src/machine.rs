@@ -1,7 +1,9 @@
 //! The simulated machine and its main loop.
 
+use std::borrow::Cow;
+
 use ehs_energy::{mw_to_nj_per_cycle, Capacitor, EnergyBreakdown, PowerTrace};
-use ehs_isa::{ExecClass, ExecError, Interpreter, Program};
+use ehs_isa::{ExecClass, ExecError, Interpreter, LoadImage, Program};
 use ehs_mem::{block_of, Cache, InsertOutcome, Nvm, Persist, PrefetchBuffer, ReadReason};
 use ehs_prefetch::{AccessEvent, AccessOutcome, AnyPrefetcher, Prefetcher};
 use ipex::AnyPolicy;
@@ -506,12 +508,13 @@ impl Machine {
     /// paused [`Machine::run_until`] (including mid-backup and
     /// mid-recharge), or after completion.
     pub fn snapshot(&self, program: &Program) -> Snapshot {
-        let fresh = Interpreter::with_mem_size(program, self.cfg.nvm.size_bytes as usize);
-        let mem_delta = snapshot::mem_delta(fresh.mem(), self.interp.mem());
+        let fresh = LoadImage::new(program, self.cfg.nvm.size_bytes as usize);
+        let mem_delta =
+            snapshot::mem_delta_paged(&fresh, self.interp.mem(), self.interp.written_pages());
         Snapshot {
             version: SNAPSHOT_VERSION,
             cfg: self.cfg.clone(),
-            program_digest: fresh.mem_digest(),
+            program_digest: fresh.digest(),
             trace_digest: snapshot::trace_digest(&self.trace),
             cycle: self.cycle,
             phase: self.phase,
@@ -573,7 +576,12 @@ impl Machine {
     ) -> Result<Machine, SnapshotError> {
         // Bring older-format snapshots forward (or reject them) before
         // any state is applied; see `Snapshot::migrate` for the history.
-        let snap = &snap.clone().migrate()?;
+        // Only an old version pays for a copy.
+        let snap = &if snap.version == SNAPSHOT_VERSION {
+            Cow::Borrowed(snap)
+        } else {
+            Cow::Owned(snap.clone().migrate()?)
+        };
         debug_assert_eq!(snap.version, SNAPSHOT_VERSION);
         let mut m = Machine::with_trace(snap.cfg.clone(), program, trace);
         let program_digest = m.interp.mem_digest();

@@ -299,15 +299,18 @@ pub fn plan_auto(
 /// kept entry to the target that produced it. Strictly reduces any
 /// plan with two or more entries.
 fn thin(entries: &mut Vec<Snapshot>, targets: &mut Vec<u64>) {
-    let kept_entries: Vec<Snapshot> = entries.iter().step_by(2).cloned().collect();
+    let mut index = 0;
+    entries.retain(|_| {
+        index += 1;
+        index % 2 == 1
+    });
     // `targets[i]` produced `entries[i + 1]`; a kept entry at old index
-    // j (j > 0) keeps old target j - 1.
-    let kept_targets: Vec<u64> = (1..entries.len())
-        .filter(|j| j % 2 == 0)
-        .map(|j| targets[j - 1])
-        .collect();
-    *entries = kept_entries;
-    *targets = kept_targets;
+    // j (j even, j > 0) keeps old target j - 1.
+    let mut index = 0;
+    targets.retain(|_| {
+        index += 1;
+        index % 2 == 0
+    });
 }
 
 /// Executes slice `index` of a plan: resumes its entry snapshot and

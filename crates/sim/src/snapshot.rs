@@ -28,6 +28,7 @@
 //! [`Machine::resume`]: crate::Machine::resume
 
 use ehs_energy::{EnergyBreakdown, PowerTrace};
+use ehs_isa::{LoadImage, PageMap, PAGE_BYTES};
 use ehs_mem::{BufferState, CacheState, NvmState};
 use ehs_prefetch::PrefetcherState;
 use ipex::PolicyState;
@@ -287,14 +288,10 @@ impl std::error::Error for SnapshotError {}
 
 /// Identity digest of a power trace: FNV-1a over the sample count and
 /// every sample's IEEE-754 bit pattern (little-endian). Bit-exact — two
-/// traces digest equal iff every sample is the same f64.
+/// traces digest equal iff every sample is the same f64. Computed once
+/// per trace and shared by its clones ([`PowerTrace::digest`]).
 pub fn trace_digest(trace: &PowerTrace) -> u64 {
-    let mut bytes = Vec::with_capacity(8 + trace.len() * 8);
-    bytes.extend_from_slice(&(trace.len() as u64).to_le_bytes());
-    for i in 0..trace.len() as u64 {
-        bytes.extend_from_slice(&trace.power_mw_at(i).to_bits().to_le_bytes());
-    }
-    canon::fnv1a_64(&bytes)
+    trace.digest()
 }
 
 /// Gaps of fewer than this many equal bytes between two differing runs
@@ -303,6 +300,9 @@ pub fn trace_digest(trace: &PowerTrace) -> u64 {
 const COALESCE_GAP: usize = 16;
 
 /// Computes the sparse delta of `cur` against the fresh image `base`.
+///
+/// The dense reference for [`mem_delta_paged`], which the snapshot
+/// path uses.
 ///
 /// # Panics
 ///
@@ -327,6 +327,49 @@ pub fn mem_delta(base: &[u8], cur: &[u8]) -> Vec<MemRun> {
             hex: hex_encode(&cur[start..end]),
         });
         i = end;
+    }
+    runs
+}
+
+/// [`mem_delta`] of `cur` against `fresh`, scanning only the pages
+/// where either may be nonzero: those in `written` (every other page of
+/// `cur` is zero) or touched by the program's segments.
+///
+/// The runs are identical to the dense [`mem_delta`]'s: a run never
+/// spans a page both images hold as zero, since that page is 4096
+/// equal bytes and runs only absorb gaps of under [`COALESCE_GAP`].
+/// So each maximal group of scanned pages is diffed on its own.
+///
+/// # Panics
+///
+/// Panics if the images differ in length.
+pub fn mem_delta_paged(fresh: &LoadImage, cur: &[u8], written: &PageMap) -> Vec<MemRun> {
+    assert_eq!(fresh.len(), cur.len(), "image size mismatch");
+    let scan = |p: usize| written.contains(p) || fresh.pages().contains(p);
+    let pages = cur.len().div_ceil(PAGE_BYTES);
+    let mut runs = Vec::new();
+    let mut base = Vec::new();
+    let mut p = 0;
+    while p < pages {
+        if !scan(p) {
+            p += 1;
+            continue;
+        }
+        let first = p;
+        while p < pages && scan(p) {
+            p += 1;
+        }
+        let (start, end) = (first * PAGE_BYTES, (p * PAGE_BYTES).min(cur.len()));
+        base.resize(end - start, 0);
+        fresh.read(start, &mut base);
+        runs.extend(
+            mem_delta(&base, &cur[start..end])
+                .into_iter()
+                .map(|r| MemRun {
+                    addr: r.addr + start as u32,
+                    hex: r.hex,
+                }),
+        );
     }
     runs
 }
@@ -452,6 +495,42 @@ mod tests {
             hex: "aabb".into(),
         }];
         assert!(apply_mem_delta(&delta, 11, |_, _| {}).is_err());
+    }
+
+    /// The memoized digest hashes the same bytes as the original
+    /// definition: count, then every sample's bits, little-endian.
+    #[test]
+    fn trace_digest_matches_the_byte_layout() {
+        let trace = ehs_energy::TraceKind::RfOffice.synthesize(5, 777);
+        let mut bytes = (trace.len() as u64).to_le_bytes().to_vec();
+        for i in 0..trace.len() as u64 {
+            bytes.extend_from_slice(&trace.power_mw_at(i).to_bits().to_le_bytes());
+        }
+        assert_eq!(trace_digest(&trace), canon::fnv1a_64(&bytes));
+        assert_eq!(trace_digest(&trace.clone()), canon::fnv1a_64(&bytes));
+    }
+
+    /// A page the live image never wrote but the fresh image loads is
+    /// still scanned, so a delta against another program's image stays
+    /// the dense one.
+    #[test]
+    fn paged_delta_scans_the_fresh_images_pages() {
+        let len = 3 << 20;
+        let other = ehs_isa::asm::assemble(".text\n halt\n.data\nw: .word 7, 8, 9\n").unwrap();
+        let fresh = LoadImage::new(&other, len);
+        let mut cur = vec![0u8; len];
+        cur[5] = 1;
+        cur[PAGE_BYTES - 2..PAGE_BYTES + 3].fill(4);
+        let mut written = PageMap::new(len);
+        written.mark(0, PAGE_BYTES + 3);
+        let mut dense = vec![0u8; len];
+        fresh.read(0, &mut dense);
+        let delta = mem_delta_paged(&fresh, &cur, &written);
+        assert_eq!(delta, mem_delta(&dense, &cur));
+        assert!(
+            delta.iter().any(|r| r.addr == ehs_isa::DATA_BASE),
+            "{delta:?}"
+        );
     }
 
     #[test]

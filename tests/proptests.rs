@@ -3,11 +3,14 @@
 use proptest::prelude::*;
 
 use ehs_repro::energy::{Capacitor, CapacitorConfig, PowerTrace};
-use ehs_repro::isa::{Instr, MemWidth, Reg};
+use ehs_repro::isa::{
+    asm, mem_digest_of, Instr, Interpreter, LoadImage, MemWidth, Reg, PAGE_BYTES,
+};
 use ehs_repro::mem::{block_of, Cache, CacheConfig, PrefetchBuffer, BLOCK_SIZE};
 use ehs_repro::prefetch::{
     AccessEvent, AccessOutcome, AnyPrefetcher, DataPrefetcherKind, InstPrefetcherKind, Prefetcher,
 };
+use ehs_repro::sim::snapshot::{mem_delta, mem_delta_paged};
 use ehs_repro::sim::{Ipex, Machine, SimConfig, Snapshot};
 
 /// An arbitrary demand-access event; instruction prefetchers only look at
@@ -431,5 +434,60 @@ proptest! {
              ({table_before} -> {table_after})"
         );
         prop_assert_eq!(after.adaptations, before.adaptations + 1);
+    }
+
+    /// The paged memory digest and snapshot delta equal their dense
+    /// references after random stores (run as real `sb`/`sh`/`sw`
+    /// instructions) and random `write_bytes`, including writes that
+    /// straddle page boundaries and memory sizes that are a multiple of
+    /// neither the page nor the 8-byte digest word.
+    #[test]
+    fn paged_digest_and_delta_match_dense(
+        len in prop_oneof![
+            Just(4097usize),
+            Just(8191),
+            Just((1 << 16) + 5),
+            Just(3 * PAGE_BYTES),
+        ],
+        stores in proptest::collection::vec((0.0f64..1.0, 0u8..3, any::<u32>()), 0..24),
+        writes in proptest::collection::vec(
+            (0.0f64..1.0, any::<bool>(), proptest::collection::vec(any::<u8>(), 1..40)),
+            0..12,
+        ),
+    ) {
+        // Stores land above the text, which stays under 2 KiB.
+        const LO: usize = 2048;
+        let mut src = String::from(".text\nmain:\n");
+        for &(at, width, value) in &stores {
+            let n = 1usize << width;
+            let addr = (LO + (at * (len - LO - n) as f64) as usize) & !(n - 1);
+            let op = ["sb", "sh", "sw"][width as usize];
+            src.push_str(&format!(" li a1, {addr}\n li a2, {value}\n {op} a2, 0(a1)\n"));
+        }
+        src.push_str(" halt\n");
+        let program = asm::assemble(&src).expect("store program assembles");
+        let mut vm = Interpreter::with_mem_size(&program, len);
+        vm.run(10_000).expect("store program halts");
+        for (at, near_page_end, bytes) in &writes {
+            let span = len - bytes.len();
+            let addr = if *near_page_end {
+                // Start a few bytes before a page boundary, so the
+                // write straddles it.
+                let boundary = PAGE_BYTES * (1 + (at * (len / PAGE_BYTES) as f64) as usize);
+                boundary.saturating_sub(bytes.len() / 2).min(span)
+            } else {
+                (at * span as f64) as usize
+            };
+            vm.write_bytes(addr as u32, bytes);
+        }
+
+        prop_assert_eq!(vm.mem_digest(), mem_digest_of(vm.mem()));
+        let fresh = LoadImage::new(&program, len);
+        let dense_fresh = Interpreter::with_mem_size(&program, len);
+        prop_assert_eq!(fresh.digest(), mem_digest_of(dense_fresh.mem()));
+        prop_assert_eq!(
+            mem_delta_paged(&fresh, vm.mem(), vm.written_pages()),
+            mem_delta(dense_fresh.mem(), vm.mem())
+        );
     }
 }
