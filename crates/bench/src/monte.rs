@@ -4,7 +4,7 @@
 //! synthetic power trace (RFHome, seed 42). That number is a draw from a
 //! distribution — a different trace seed gives a different trace, a
 //! different interleaving of power failures, and a different speedup.
-//! This module re-evaluates every [`Headline`] the figure registry
+//! This module re-evaluates every [`Headline`](crate::figures::Headline) the figure registry
 //! declares under `N` seed-varied copies of its trace environment
 //! ([`TraceSpec::with_seed`]) and summarises the resulting sample into
 //! mean / gmean with Student-t and bootstrap 95% confidence intervals

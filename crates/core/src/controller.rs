@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use ehs_mem::Persist;
 use serde::{Deserialize, Serialize};
 
+use crate::policy::same_cfg;
 use crate::{IpexConfig, IpexRegisters, PolicyStats};
 
 /// The controller's bi-modal operating state (§3.2).
@@ -246,27 +247,33 @@ impl Persist for IpexController {
         }
     }
 
-    /// Rejects a state whose own configuration is inconsistent, or whose
-    /// threshold ladder length disagrees with it (a corrupted snapshot).
-    fn from_state(state: &IpexControllerState) -> Result<IpexController, String> {
+    /// Rejects a state whose own configuration is inconsistent or differs
+    /// from this controller's, or whose threshold ladder length or `Ripd`
+    /// disagrees with it (a corrupted snapshot).
+    fn import_state(&mut self, state: &IpexControllerState) -> Result<(), String> {
         state.cfg.validate()?;
-        if state.thresholds.len() != state.cfg.threshold_count as usize {
+        same_cfg(&state.cfg, &self.cfg)?;
+        if state.thresholds.len() != self.thresholds.len() {
             return Err(format!(
                 "controller state has {} thresholds, config wants {}",
                 state.thresholds.len(),
-                state.cfg.threshold_count
+                self.thresholds.len()
             ));
         }
-        Ok(IpexController {
-            cfg: state.cfg,
-            thresholds: state.thresholds.clone(),
-            regs: state.regs,
-            r_cpd: state.r_cpd,
-            level: state.level,
-            mode: state.mode,
-            reissue_queue: state.reissue_queue.iter().copied().collect(),
-            stats: state.stats,
-        })
+        if state.regs.r_ipd != self.regs.r_ipd {
+            return Err(format!(
+                "controller state has Ripd {}, config wants {}",
+                state.regs.r_ipd, self.regs.r_ipd
+            ));
+        }
+        self.thresholds.copy_from_slice(&state.thresholds);
+        self.regs = state.regs;
+        self.r_cpd = state.r_cpd;
+        self.level = state.level;
+        self.mode = state.mode;
+        self.reissue_queue = state.reissue_queue.iter().copied().collect();
+        self.stats = state.stats;
+        Ok(())
     }
 }
 
@@ -276,6 +283,15 @@ mod tests {
 
     fn ctl() -> IpexController {
         IpexController::new(IpexConfig::paper_default())
+    }
+
+    /// `Ripd` is configuration: a state carrying another one is rejected.
+    #[test]
+    fn import_rejects_another_ripd() {
+        let mut state = ctl().export_state();
+        state.regs.r_ipd = 3;
+        let err = ctl().import_state(&state).unwrap_err();
+        assert!(err.contains("Ripd"), "{err}");
     }
 
     #[test]

@@ -342,12 +342,11 @@ impl Persist for StaticController {
         }
     }
 
-    fn from_state(state: &StaticControllerState) -> Result<StaticController, String> {
+    fn import_state(&mut self, state: &StaticControllerState) -> Result<(), String> {
         state.cfg.validate()?;
-        Ok(StaticController {
-            cfg: state.cfg,
-            stats: state.stats,
-        })
+        same_cfg(&state.cfg, &self.cfg)?;
+        self.stats = state.stats;
+        Ok(())
     }
 }
 
@@ -563,14 +562,13 @@ impl Persist for HysteresisController {
         }
     }
 
-    fn from_state(state: &HysteresisControllerState) -> Result<HysteresisController, String> {
+    fn import_state(&mut self, state: &HysteresisControllerState) -> Result<(), String> {
         state.cfg.validate()?;
-        Ok(HysteresisController {
-            cfg: state.cfg,
-            ewma: state.ewma,
-            mode: state.mode,
-            stats: state.stats,
-        })
+        same_cfg(&state.cfg, &self.cfg)?;
+        self.ewma = state.ewma;
+        self.mode = state.mode;
+        self.stats = state.stats;
+        Ok(())
     }
 }
 
@@ -954,28 +952,40 @@ impl Persist for PredictiveController {
         }
     }
 
-    fn from_state(state: &PredictiveControllerState) -> Result<PredictiveController, String> {
+    /// Also rejects a table of another size, and a voltage bin or
+    /// context outside the table (both index it).
+    fn import_state(&mut self, state: &PredictiveControllerState) -> Result<(), String> {
         state.cfg.validate()?;
-        let want = PREDICTIVE_CONTEXTS * PREDICTIVE_INTERVAL_CLASSES;
-        if state.table.len() != want {
+        same_cfg(&state.cfg, &self.cfg)?;
+        if state.table.len() != self.table.len() {
             return Err(format!(
                 "predictive table has {} entries, expected {}",
                 state.table.len(),
-                want
+                self.table.len()
             ));
         }
-        Ok(PredictiveController {
-            cfg: state.cfg,
-            table: state.table.clone(),
-            prev_level: state.prev_level,
-            context: state.context,
-            obs_count: state.obs_count,
-            obs_since_reboot: state.obs_since_reboot,
-            degree: state.degree,
-            mode: state.mode,
-            stats: state.stats,
-            adaptations: state.adaptations,
-        })
+        if state
+            .prev_level
+            .is_some_and(|l| l as usize >= PREDICTIVE_VOLTAGE_BINS)
+            || state
+                .context
+                .is_some_and(|c| c as usize >= PREDICTIVE_CONTEXTS)
+        {
+            return Err(format!(
+                "predictive voltage bin {:?} or context {:?} out of range",
+                state.prev_level, state.context
+            ));
+        }
+        self.table.copy_from_slice(&state.table);
+        self.prev_level = state.prev_level;
+        self.context = state.context;
+        self.obs_count = state.obs_count;
+        self.obs_since_reboot = state.obs_since_reboot;
+        self.degree = state.degree;
+        self.mode = state.mode;
+        self.stats = state.stats;
+        self.adaptations = state.adaptations;
+        Ok(())
     }
 }
 
@@ -1203,30 +1213,42 @@ impl Persist for AnyPolicy {
     fn export_state(&self) -> PolicyState {
         match self {
             AnyPolicy::Passthrough => PolicyState::Passthrough,
-            AnyPolicy::Ipex(c) => PolicyState::Ipex(Box::new(Persist::export_state(&**c))),
-            AnyPolicy::Predictive(c) => {
-                PolicyState::Predictive(Box::new(Persist::export_state(&**c)))
-            }
-            AnyPolicy::Hysteresis(c) => {
-                PolicyState::Hysteresis(Box::new(Persist::export_state(&**c)))
-            }
-            AnyPolicy::StaticDegree(c) => PolicyState::StaticDegree(Persist::export_state(c)),
+            AnyPolicy::Ipex(c) => PolicyState::Ipex(Box::new(c.export_state())),
+            AnyPolicy::Predictive(c) => PolicyState::Predictive(Box::new(c.export_state())),
+            AnyPolicy::Hysteresis(c) => PolicyState::Hysteresis(Box::new(c.export_state())),
+            AnyPolicy::StaticDegree(c) => PolicyState::StaticDegree(c.export_state()),
         }
     }
 
-    /// Propagates the underlying controller's validation error.
-    fn from_state(state: &PolicyState) -> Result<AnyPolicy, String> {
-        Ok(match state {
-            PolicyState::Passthrough => AnyPolicy::Passthrough,
-            PolicyState::Ipex(s) => AnyPolicy::Ipex(Box::new(Persist::from_state(&**s)?)),
-            PolicyState::Predictive(s) => {
-                AnyPolicy::Predictive(Box::new(Persist::from_state(&**s)?))
-            }
-            PolicyState::Hysteresis(s) => {
-                AnyPolicy::Hysteresis(Box::new(Persist::from_state(&**s)?))
-            }
-            PolicyState::StaticDegree(s) => AnyPolicy::StaticDegree(Persist::from_state(s)?),
-        })
+    /// Rejects a state of another policy kind, and propagates the
+    /// controller's error for a state whose configuration is invalid or
+    /// differs from this controller's.
+    fn import_state(&mut self, state: &PolicyState) -> Result<(), String> {
+        match (self, state) {
+            (AnyPolicy::Passthrough, PolicyState::Passthrough) => Ok(()),
+            (AnyPolicy::Ipex(c), PolicyState::Ipex(s)) => c.import_state(s),
+            (AnyPolicy::Predictive(c), PolicyState::Predictive(s)) => c.import_state(s),
+            (AnyPolicy::Hysteresis(c), PolicyState::Hysteresis(s)) => c.import_state(s),
+            (AnyPolicy::StaticDegree(c), PolicyState::StaticDegree(s)) => c.import_state(s),
+            (live, _) => Err(format!(
+                "state is a '{}' policy but the config builds '{}'",
+                state.kind_name(),
+                live.kind_name()
+            )),
+        }
+    }
+}
+
+/// The restore rule every controller shares: no controller mutates its
+/// own configuration, so a saved state must carry exactly the one the
+/// configured controller was built with.
+pub(crate) fn same_cfg<C: PartialEq + std::fmt::Debug>(saved: &C, live: &C) -> Result<(), String> {
+    if saved == live {
+        Ok(())
+    } else {
+        Err(format!(
+            "state config {saved:?} differs from the configured {live:?}"
+        ))
     }
 }
 
@@ -1263,16 +1285,20 @@ mod tests {
         assert_eq!(t.stats().unwrap().throttled, 2);
     }
 
-    #[test]
-    fn policy_state_round_trips_every_kind() {
-        let policies = [
+    /// One policy of every kind, as the configuration builds it.
+    fn every_policy() -> [AnyPolicy; 5] {
+        [
             AnyPolicy::Passthrough,
             AnyPolicy::ipex(IpexConfig::paper_default()),
             PolicyConfig::Predictive(PredictiveConfig::paper_default()).build(),
             PolicyConfig::Hysteresis(HysteresisConfig::paper_default()).build(),
             PolicyConfig::StaticDegree(StaticDegreeConfig::conservative()).build(),
-        ];
-        for mut p in policies {
+        ]
+    }
+
+    #[test]
+    fn policy_state_round_trips_every_kind() {
+        for (mut p, mut restored) in every_policy().into_iter().zip(every_policy()) {
             // Exercise it a little so the state is non-trivial.
             p.observe_voltage(3.21);
             let mut cand = vec![0x10, 0x20, 0x30];
@@ -1281,9 +1307,84 @@ mod tests {
             assert_eq!(state.kind_name(), p.kind_name());
             let json = serde_json::to_string(&state).unwrap();
             let back: PolicyState = serde_json::from_str(&json).unwrap();
-            let restored = AnyPolicy::from_state(&back).unwrap();
+            restored.import_state(&back).unwrap();
             assert_eq!(restored.export_state(), state, "{}", p.kind_name());
         }
+    }
+
+    #[test]
+    fn import_rejects_another_kind() {
+        for (i, mut p) in every_policy().into_iter().enumerate() {
+            for (j, other) in every_policy().iter().enumerate() {
+                let result = p.import_state(&other.export_state());
+                assert_eq!(
+                    result.is_ok(),
+                    i == j,
+                    "{} <- {}",
+                    p.kind_name(),
+                    other.kind_name()
+                );
+                if let Err(e) = result {
+                    assert!(
+                        e.contains(p.kind_name()) && e.contains(other.kind_name()),
+                        "{e}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A valid state whose configuration differs from the configured
+    /// controller's is rejected: the configuration is authoritative.
+    #[test]
+    fn import_rejects_another_config() {
+        let others = [
+            AnyPolicy::ipex(IpexConfig {
+                max_top_threshold_v: 3.39,
+                ..IpexConfig::paper_default()
+            }),
+            PolicyConfig::Predictive(PredictiveConfig {
+                min_evidence: 7,
+                ..PredictiveConfig::paper_default()
+            })
+            .build(),
+            PolicyConfig::Hysteresis(HysteresisConfig {
+                alpha: 0.25,
+                ..HysteresisConfig::paper_default()
+            })
+            .build(),
+            PolicyConfig::StaticDegree(StaticDegreeConfig::aggressive()).build(),
+        ];
+        for other in others {
+            let mut p = every_policy()
+                .into_iter()
+                .find(|p| p.kind_name() == other.kind_name())
+                .unwrap();
+            let err = p.import_state(&other.export_state()).unwrap_err();
+            assert!(err.contains("differs from the configured"), "{err}");
+        }
+    }
+
+    /// Predictive state indexes its table with the saved voltage bin and
+    /// context; an out-of-range one is rejected, not carried into a run.
+    #[test]
+    fn predictive_import_rejects_out_of_range_indices() {
+        let fresh = || PredictiveController::new(PredictiveConfig::paper_default());
+        let good = fresh().export_state();
+        for bad in [
+            PredictiveControllerState {
+                prev_level: Some(PREDICTIVE_VOLTAGE_BINS as u8),
+                ..good.clone()
+            },
+            PredictiveControllerState {
+                context: Some(PREDICTIVE_CONTEXTS as u8),
+                ..good.clone()
+            },
+        ] {
+            let err = fresh().import_state(&bad).unwrap_err();
+            assert!(err.contains("out of range"), "{err}");
+        }
+        fresh().import_state(&good).unwrap();
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl ComputeEnergy {
 }
 
 /// All energy parameters of the modelled EHS except the NVM's (which
-/// live in [`ehs_mem::NvmConfig`]-shaped configs owned by the simulator).
+/// live in `ehs_mem::NvmConfig`-shaped configs owned by the simulator).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyModel {
     /// Energy per cache access (hit or fill), nanojoules (Table 1: 0.015 nJ).

@@ -77,7 +77,7 @@ impl ExecClass {
 
 /// A decoded EHS-RV instruction.
 ///
-/// See the [module documentation](self) for the binary layout. Arithmetic
+/// See the `instr` module documentation for the binary layout. Arithmetic
 /// is two's-complement and wrapping; shifts use the low 5 bits of the
 /// shift amount; `div`/`rem` follow the RISC-V convention for division by
 /// zero (quotient −1, remainder = dividend) instead of trapping.

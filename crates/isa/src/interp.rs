@@ -57,7 +57,7 @@ pub struct Step {
 
 /// A sequential executor for EHS-RV programs over a flat memory.
 ///
-/// See the [module documentation](self) for how this integrates with the
+/// See the `interp` module documentation for how this integrates with the
 /// timing simulator.
 #[derive(Debug, Clone)]
 pub struct Interpreter {

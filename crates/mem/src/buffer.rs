@@ -15,6 +15,7 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 
 use crate::block::block_of;
+use crate::Persist;
 
 /// Counters maintained by a [`PrefetchBuffer`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,8 +94,7 @@ pub struct BufferEntryState {
 
 /// Complete serializable state of a [`PrefetchBuffer`] — entries in
 /// FIFO order (oldest first) plus the accumulated statistics. Produced
-/// by [`PrefetchBuffer::export_state`], consumed by
-/// [`PrefetchBuffer::import_state`].
+/// and consumed through the buffer's [`Persist`] impl.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BufferState {
     /// Entries oldest-first.
@@ -202,10 +202,14 @@ impl PrefetchBuffer {
         self.entries.clear();
         lost
     }
+}
+
+impl Persist for PrefetchBuffer {
+    type State = BufferState;
 
     /// The complete internal state (FIFO contents, statistics) as a
     /// serializable value, for snapshot/resume.
-    pub fn export_state(&self) -> BufferState {
+    fn export_state(&self) -> BufferState {
         BufferState {
             entries: self
                 .entries
@@ -219,14 +223,9 @@ impl PrefetchBuffer {
         }
     }
 
-    /// Restores state previously produced by
-    /// [`PrefetchBuffer::export_state`].
-    ///
-    /// # Errors
-    ///
     /// Rejects a state holding more entries than this buffer's capacity
     /// (snapshot taken under a different configuration).
-    pub fn import_state(&mut self, state: &BufferState) -> Result<(), String> {
+    fn import_state(&mut self, state: &BufferState) -> Result<(), String> {
         if state.entries.len() > self.capacity {
             return Err(format!(
                 "buffer state has {} entries, capacity is {}",

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::block::{block_of, BLOCK_SIZE};
+use crate::Persist;
 
 /// Geometry of a [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,8 +105,8 @@ pub struct LineState {
 }
 
 /// Complete serializable state of a [`Cache`] — lines in set-major
-/// order, the LRU tick and the accumulated statistics. Produced by
-/// [`Cache::export_state`], consumed by [`Cache::import_state`].
+/// order, the LRU tick and the accumulated statistics. Produced and
+/// consumed through the cache's [`Persist`] impl.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheState {
     /// All lines, `num_sets * assoc` of them, set-major.
@@ -307,10 +308,14 @@ impl Cache {
             *line = Line::default();
         }
     }
+}
+
+impl Persist for Cache {
+    type State = CacheState;
 
     /// The complete internal state (lines, LRU clock, statistics) as a
     /// serializable value, for snapshot/resume.
-    pub fn export_state(&self) -> CacheState {
+    fn export_state(&self) -> CacheState {
         CacheState {
             lines: self
                 .sets
@@ -327,13 +332,9 @@ impl Cache {
         }
     }
 
-    /// Restores state previously produced by [`Cache::export_state`].
-    ///
-    /// # Errors
-    ///
     /// Rejects a state whose line count does not match this cache's
     /// geometry (snapshot taken under a different configuration).
-    pub fn import_state(&mut self, state: &CacheState) -> Result<(), String> {
+    fn import_state(&mut self, state: &CacheState) -> Result<(), String> {
         if state.lines.len() != self.sets.len() {
             return Err(format!(
                 "cache state has {} lines, geometry expects {}",

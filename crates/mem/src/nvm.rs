@@ -15,6 +15,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::Persist;
+
 /// Default NVM capacity (16 MB, Table 1).
 pub const DEFAULT_NVM_BYTES: u64 = 16 << 20;
 
@@ -162,8 +164,8 @@ pub enum ReadReason {
 }
 
 /// Complete serializable state of an [`Nvm`] — port occupancy plus the
-/// accumulated statistics. Produced by [`Nvm::export_state`], consumed
-/// by [`Nvm::import_state`].
+/// accumulated statistics. Produced and consumed through the NVM's
+/// [`Persist`] impl.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NvmState {
     /// First cycle at which the port is free.
@@ -268,20 +270,26 @@ impl Nvm {
     pub fn power_cycle_reset(&mut self, now: u64) {
         self.busy_until = now;
     }
+}
+
+impl Persist for Nvm {
+    type State = NvmState;
 
     /// The complete internal state (port occupancy, statistics) as a
     /// serializable value, for snapshot/resume.
-    pub fn export_state(&self) -> NvmState {
+    fn export_state(&self) -> NvmState {
         NvmState {
             busy_until: self.busy_until,
             stats: self.stats,
         }
     }
 
-    /// Restores state previously produced by [`Nvm::export_state`].
-    pub fn import_state(&mut self, state: &NvmState) {
+    /// Port occupancy and statistics carry no shape, so every state
+    /// imports.
+    fn import_state(&mut self, state: &NvmState) -> Result<(), String> {
         self.busy_until = state.busy_until;
         self.stats = state.stats;
+        Ok(())
     }
 }
 

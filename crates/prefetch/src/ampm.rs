@@ -11,7 +11,7 @@
 use ehs_mem::{block_of, BLOCK_SIZE};
 use serde::{Deserialize, Serialize};
 
-use crate::{AccessEvent, Prefetcher, PrefetcherState, MAX_DEGREE};
+use crate::{AccessEvent, Prefetcher, Shape, MAX_DEGREE};
 
 /// Blocks per zone (zone size = 64 × 16 B = 1 kB).
 const ZONE_BLOCKS: u32 = 64;
@@ -70,6 +70,16 @@ impl AmpmPrefetcher {
     fn locate(addr: u32) -> (u32, u32) {
         let block_no = block_of(addr) / BLOCK_SIZE;
         (block_no / ZONE_BLOCKS, block_no % ZONE_BLOCKS)
+    }
+
+    /// The fields construction fixes and no run mutates: a state
+    /// restored into a configured prefetcher must match it on each.
+    pub(crate) fn shape(&self) -> Shape {
+        vec![
+            ("degree", self.degree.into()),
+            ("index_mask", self.index_mask.into()),
+            ("zone count", self.zones.len() as u64),
+        ]
     }
 
     fn zone_mut(&mut self, tag: u32) -> &mut Zone {
@@ -131,10 +141,6 @@ impl Prefetcher for AmpmPrefetcher {
 
     fn power_loss(&mut self) {
         self.zones.iter_mut().for_each(|z| *z = Zone::default());
-    }
-
-    fn export_state(&self) -> PrefetcherState {
-        PrefetcherState::Ampm(self.clone())
     }
 }
 

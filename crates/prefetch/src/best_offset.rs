@@ -11,7 +11,7 @@
 use ehs_mem::{block_of, BLOCK_SIZE};
 use serde::{Deserialize, Serialize};
 
-use crate::{AccessEvent, Prefetcher, PrefetcherState, MAX_DEGREE};
+use crate::{AccessEvent, Prefetcher, Shape, MAX_DEGREE};
 
 /// Candidate offsets tested during learning, in blocks.
 const OFFSETS: [i32; 8] = [1, 2, 3, 4, 6, 8, -1, -2];
@@ -60,6 +60,12 @@ impl BestOffsetPrefetcher {
     /// The offset currently used for prefetching, in blocks.
     pub fn active_offset(&self) -> Option<i32> {
         self.active
+    }
+
+    /// The fields construction fixes and no run mutates: a state
+    /// restored into a configured prefetcher must match it on each.
+    pub(crate) fn shape(&self) -> Shape {
+        vec![("degree", self.degree.into())]
     }
 
     #[inline]
@@ -134,10 +140,6 @@ impl Prefetcher for BestOffsetPrefetcher {
 
     fn power_loss(&mut self) {
         *self = BestOffsetPrefetcher::new(self.degree);
-    }
-
-    fn export_state(&self) -> PrefetcherState {
-        PrefetcherState::BestOffset(self.clone())
     }
 }
 

@@ -9,7 +9,7 @@
 use ehs_mem::block_of;
 use serde::{Deserialize, Serialize};
 
-use crate::{AccessEvent, Prefetcher, PrefetcherState, MAX_DEGREE};
+use crate::{AccessEvent, Prefetcher, Shape, MAX_DEGREE};
 
 /// Global-history-buffer delta-correlation prefetcher.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,6 +56,16 @@ impl GhbPrefetcher {
     #[inline]
     fn at(&self, pos: u64) -> u32 {
         self.history[(pos % self.capacity as u64) as usize]
+    }
+
+    /// The fields construction fixes and no run mutates: a state
+    /// restored into a configured prefetcher must match it on each.
+    pub(crate) fn shape(&self) -> Shape {
+        vec![
+            ("degree", self.degree.into()),
+            ("capacity", self.capacity as u64),
+            ("history length", self.history.len() as u64),
+        ]
     }
 
     fn len_in_window(&self) -> u64 {
@@ -125,10 +135,6 @@ impl Prefetcher for GhbPrefetcher {
     fn power_loss(&mut self) {
         self.head = 0;
         self.history.iter_mut().for_each(|b| *b = 0);
-    }
-
-    fn export_state(&self) -> PrefetcherState {
-        PrefetcherState::Ghb(self.clone())
     }
 }
 

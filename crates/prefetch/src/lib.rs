@@ -46,6 +46,7 @@ pub use markov::MarkovPrefetcher;
 pub use null::NullPrefetcher;
 pub use sequential::SequentialPrefetcher;
 pub use state::PrefetcherState;
+use state::Shape;
 pub use stride::StridePrefetcher;
 pub use tifs::TifsPrefetcher;
 
@@ -59,6 +60,12 @@ pub const MAX_DEGREE: u32 = 4;
 /// *block base addresses* to `out`, highest priority first. The caller
 /// (the IPEX controller or an unthrottled passthrough) decides how many
 /// to issue.
+///
+/// Snapshot/resume is not part of this trait: the simulator holds an
+/// [`AnyPrefetcher`], whose [`ehs_mem::Persist`] impl exports a
+/// [`PrefetcherState`] and imports one into the prefetcher the
+/// configuration built, rejecting a different kind, degree or table
+/// geometry.
 pub trait Prefetcher {
     /// Short name used in reports (e.g. `"stride"`).
     fn name(&self) -> &'static str;
@@ -75,9 +82,4 @@ pub trait Prefetcher {
     /// Wipes all volatile predictor state (tables, histories) — the
     /// effect of a power failure.
     fn power_loss(&mut self);
-
-    /// The complete internal state as a serializable value, for
-    /// snapshot/resume. [`PrefetcherState::into_any`] rebuilds a
-    /// behaviourally identical prefetcher from it.
-    fn export_state(&self) -> PrefetcherState;
 }

@@ -11,7 +11,7 @@
 use ehs_mem::block_of;
 use serde::{Deserialize, Serialize};
 
-use crate::{AccessEvent, Prefetcher, PrefetcherState, MAX_DEGREE};
+use crate::{AccessEvent, Prefetcher, Shape, MAX_DEGREE};
 
 const SUCCESSORS_PER_ENTRY: usize = 4;
 
@@ -70,6 +70,16 @@ impl MarkovPrefetcher {
     #[inline]
     fn slot(&self, block: u32) -> usize {
         ((block >> 4) & self.index_mask) as usize
+    }
+
+    /// The fields construction fixes and no run mutates: a state
+    /// restored into a configured prefetcher must match it on each.
+    pub(crate) fn shape(&self) -> Shape {
+        vec![
+            ("degree", self.degree.into()),
+            ("index_mask", self.index_mask.into()),
+            ("table length", self.table.len() as u64),
+        ]
     }
 
     fn record_transition(&mut self, from: u32, to: u32) {
@@ -132,10 +142,6 @@ impl Prefetcher for MarkovPrefetcher {
     fn power_loss(&mut self) {
         self.table.iter_mut().for_each(|e| *e = None);
         self.last_miss_block = None;
-    }
-
-    fn export_state(&self) -> PrefetcherState {
-        PrefetcherState::Markov(self.clone())
     }
 }
 

@@ -1,7 +1,7 @@
 //! The no-op prefetcher used by the prefetch-free baselines
 //! (e.g. "NVSRAMCache (No Prefetcher)" in Figs. 10/11).
 
-use crate::{AccessEvent, Prefetcher, PrefetcherState};
+use crate::{AccessEvent, Prefetcher};
 
 /// A prefetcher that never prefetches.
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,10 +26,6 @@ impl Prefetcher for NullPrefetcher {
     fn observe(&mut self, _event: &AccessEvent, _out: &mut Vec<u32>) {}
 
     fn power_loss(&mut self) {}
-
-    fn export_state(&self) -> PrefetcherState {
-        PrefetcherState::None
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use ehs_mem::{block_of, BLOCK_SIZE};
 use serde::{Deserialize, Serialize};
 
-use crate::{AccessEvent, Prefetcher, PrefetcherState, MAX_DEGREE};
+use crate::{AccessEvent, Prefetcher, Shape, MAX_DEGREE};
 
 /// Prefetches the next sequential blocks after a miss-like access, and
 /// keeps the stream warm by re-triggering whenever the demand stream
@@ -57,6 +57,12 @@ impl SequentialPrefetcher {
             self.degree
         }
     }
+
+    /// The fields construction fixes and no run mutates: a state
+    /// restored into a configured prefetcher must match it on each.
+    pub(crate) fn shape(&self) -> Shape {
+        vec![("degree", self.degree.into())]
+    }
 }
 
 impl Prefetcher for SequentialPrefetcher {
@@ -93,10 +99,6 @@ impl Prefetcher for SequentialPrefetcher {
     fn power_loss(&mut self) {
         self.last_trigger_block = None;
         self.streak = 0;
-    }
-
-    fn export_state(&self) -> PrefetcherState {
-        PrefetcherState::Sequential(self.clone())
     }
 }
 

@@ -12,7 +12,7 @@
 use ehs_mem::block_of;
 use serde::{Deserialize, Serialize};
 
-use crate::{AccessEvent, Prefetcher, PrefetcherState, MAX_DEGREE};
+use crate::{AccessEvent, Prefetcher, Shape, MAX_DEGREE};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum State {
@@ -78,6 +78,16 @@ impl StridePrefetcher {
     fn slot(&self, pc: u32) -> usize {
         // PCs are 4-byte aligned; drop the low bits before indexing.
         ((pc >> 2) & self.index_mask) as usize
+    }
+
+    /// The fields construction fixes and no run mutates: a state
+    /// restored into a configured prefetcher must match it on each.
+    pub(crate) fn shape(&self) -> Shape {
+        vec![
+            ("degree", self.degree.into()),
+            ("index_mask", self.index_mask.into()),
+            ("table length", self.table.len() as u64),
+        ]
     }
 }
 
@@ -153,10 +163,6 @@ impl Prefetcher for StridePrefetcher {
 
     fn power_loss(&mut self) {
         self.table.iter_mut().for_each(|e| *e = None);
-    }
-
-    fn export_state(&self) -> PrefetcherState {
-        PrefetcherState::Stride(self.clone())
     }
 }
 

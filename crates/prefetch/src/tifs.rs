@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use ehs_mem::block_of;
 
-use crate::{AccessEvent, Prefetcher, PrefetcherState, MAX_DEGREE};
+use crate::{AccessEvent, Prefetcher, Shape, MAX_DEGREE};
 
 /// Temporal-streaming instruction prefetcher.
 #[derive(Debug, Clone)]
@@ -57,6 +57,16 @@ impl TifsPrefetcher {
             head: 0,
             index: HashMap::new(),
         }
+    }
+
+    /// The fields construction fixes and no run mutates: a state
+    /// restored into a configured prefetcher must match it on each.
+    pub(crate) fn shape(&self) -> Shape {
+        vec![
+            ("degree", self.degree.into()),
+            ("capacity", self.capacity as u64),
+            ("log length", self.log.len() as u64),
+        ]
     }
 
     fn replay_from(&self, pos: u64, out: &mut Vec<u32>) {
@@ -168,10 +178,6 @@ impl Prefetcher for TifsPrefetcher {
         self.head = 0;
         self.index.clear();
         self.log.iter_mut().for_each(|b| *b = 0);
-    }
-
-    fn export_state(&self) -> PrefetcherState {
-        PrefetcherState::Tifs(self.clone())
     }
 }
 

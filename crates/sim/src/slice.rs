@@ -12,13 +12,13 @@
 //!    once, capturing a [`Snapshot`] at each pause boundary. The
 //!    snapshots plus the `run_until` targets that produced them form a
 //!    [`SlicePlan`].
-//! 2. Each slice ([`run_slice`]) resumes from its entry snapshot and
+//! 2. Each slice (`run_slice`) resumes from its entry snapshot and
 //!    replays `run_until` with the *same target* the forward pass used.
 //!    Because pauses are neutral and resume is exact, slice *i* must
 //!    land on precisely the state the forward pass captured as entry
 //!    *i+1* — so every slice is independently re-executable on any
 //!    worker, in any order.
-//! 3. [`stitch`] verifies the digest chain (each slice's exit state
+//! 3. `stitch` verifies the digest chain (each slice's exit state
 //!    equals the next slice's entry snapshot) and extracts the final
 //!    [`SimResult`] + state digest from the completing slice. Since all
 //!    statistics accumulate inside the machine state, the completing
@@ -26,7 +26,7 @@
 //!    monolithic `run()`.
 //!
 //! Why `run_until` boundaries are safe cut points: the phase machine
-//! freezes all in-flight loop state into the [`Phase`] variant itself
+//! freezes all in-flight loop state into the [`Phase`](crate::Phase) variant itself
 //! (mid-backup block counts, the growing backup window, recharge
 //! progress), so a pause can land *inside* an outage without perturbing
 //! the operation sequence. The slice executor replays the forward
@@ -406,7 +406,7 @@ fn stitch(plan: &SlicePlan, outcomes: &[SliceOutcome]) -> Result<Stitched, Slice
 ///
 /// # Errors
 ///
-/// Any error [`run_slice`] or [`stitch`] can produce.
+/// Any error replaying a slice or stitching the chain can produce.
 pub fn run_sliced_serial(
     plan: &SlicePlan,
     program: &Program,

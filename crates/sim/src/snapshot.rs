@@ -239,17 +239,9 @@ pub enum SnapshotError {
         /// Digest of the trace supplied to resume.
         expected: u64,
     },
-    /// The snapshot's throttle state is for a different policy kind
-    /// than the configuration builds.
-    PolicyMismatch {
-        /// Which path's throttle disagreed (`"instruction"` / `"data"`).
-        which: &'static str,
-        /// Policy kind recorded in the snapshot.
-        found: &'static str,
-        /// Policy kind the configuration builds.
-        expected: &'static str,
-    },
-    /// A state component failed validation against the configuration.
+    /// A state component is of another kind or shape than the component
+    /// the configuration builds, or is internally inconsistent. The
+    /// message names the component.
     State(String),
 }
 
@@ -269,15 +261,6 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::TraceMismatch { found, expected } => write!(
                 f,
                 "snapshot trace digest {found:#018x} != supplied trace {expected:#018x}"
-            ),
-            SnapshotError::PolicyMismatch {
-                which,
-                found,
-                expected,
-            } => write!(
-                f,
-                "snapshot {which} throttle is a '{found}' policy but the \
-                 configuration builds '{expected}'"
             ),
             SnapshotError::State(msg) => write!(f, "snapshot state invalid: {msg}"),
         }
@@ -337,7 +320,7 @@ pub fn mem_delta(base: &[u8], cur: &[u8]) -> Vec<MemRun> {
 ///
 /// The runs are identical to the dense [`mem_delta`]'s: a run never
 /// spans a page both images hold as zero, since that page is 4096
-/// equal bytes and runs only absorb gaps of under [`COALESCE_GAP`].
+/// equal bytes and runs only absorb gaps of under `COALESCE_GAP`.
 /// So each maximal group of scanned pages is diffed on its own.
 ///
 /// # Panics

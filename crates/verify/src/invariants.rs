@@ -1,6 +1,6 @@
 //! Invariant checking over the simulator's event stream.
 //!
-//! [`InvariantSink`] plugs into [`Machine::set_trace_sink`]
+//! [`InvariantSink`] plugs into [`Machine::set_trace_sink`](ehs_sim::Machine::set_trace_sink)
 //! (ehs-sim's [`TraceSink`] API) and audits events as they are emitted:
 //!
 //! * **Prefetch fate** — every `PrefetchIssued` block enters a model of

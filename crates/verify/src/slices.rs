@@ -5,7 +5,7 @@
 //!
 //! 1. **Pause neutrality** — a forward pass that pauses every grain
 //!    cycles ([`ehs_sim::slice::plan_auto`]) must produce the same
-//!    [`SimResult`] and final state digest as one uninterrupted
+//!    [`SimResult`](ehs_sim::SimResult) and final state digest as one uninterrupted
 //!    [`Machine::run`].
 //! 2. **Resume exactness** — re-executing every slice of the captured
 //!    plan from its entry snapshot ([`run_sliced_serial`]) must stitch

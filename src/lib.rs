@@ -7,7 +7,7 @@
 //!   interpreter,
 //! * [`workloads`] — the 20 MediaBench/MiBench-style benchmark kernels,
 //! * [`mem`] — caches, prefetch buffers and the NVM model,
-//! * [`prefetch`] — the six hardware prefetchers,
+//! * [`prefetch`] — the seven hardware prefetchers,
 //! * [`energy`] — capacitor, power traces and energy accounting,
 //! * [`ipex`] — the paper's contribution: the intermittence-aware
 //!   prefetching extension,

@@ -12,6 +12,7 @@
 //! stays tier-1 fast; completion is not required for equivalence.
 
 use proptest::prelude::*;
+use serde::{Content, Serialize};
 
 use ehs_repro::energy::PowerTrace;
 use ehs_repro::prefetch::{DataPrefetcherKind, InstPrefetcherKind};
@@ -165,5 +166,172 @@ proptest! {
             stitched.state_digest, truth_digest,
             "sliced final state diverged (plan of {} slices)", plan.len()
         );
+    }
+}
+
+/// `map` with `field` replaced by `value`.
+fn with_field(map: &Content, field: &str, value: Content) -> Content {
+    let entries = map.as_map().expect("component state is a map");
+    Content::Map(
+        entries
+            .iter()
+            .map(|(k, v)| {
+                (
+                    k.clone(),
+                    if k == field { value.clone() } else { v.clone() },
+                )
+            })
+            .collect(),
+    )
+}
+
+/// The same value with a different shape: a count grown by one bit, a
+/// vector one element shorter and one longer, a configuration with its
+/// first field nudged.
+fn reshaped(field: &str, value: &Content) -> Vec<(String, Content)> {
+    match (field, value) {
+        ("degree" | "index_mask" | "capacity", Content::U64(v)) => {
+            vec![(
+                format!("{field} {v}->{}", v * 2 + 1),
+                Content::U64(v * 2 + 1),
+            )]
+        }
+        ("lines" | "table" | "log" | "zones" | "history" | "thresholds", Content::Seq(items)) => {
+            let last = items.last().expect("shape vectors are never empty").clone();
+            let mut longer = items.clone();
+            longer.push(last);
+            vec![
+                (
+                    format!("{field} shortened"),
+                    Content::Seq(items[1..].to_vec()),
+                ),
+                (format!("{field} lengthened"), Content::Seq(longer)),
+            ]
+        }
+        ("cfg", Content::Map(cfg)) => {
+            let (name, first) = &cfg[0];
+            let nudged = match first {
+                Content::U64(v) => Content::U64(v + 1),
+                Content::F64(v) => Content::F64(v + 0.01),
+                other => panic!("cfg.{name} is {other:?}"),
+            };
+            vec![(
+                format!("cfg.{name} nudged"),
+                with_field(value, name, nudged),
+            )]
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// Every way this test corrupts one component of a snapshot, as
+/// (description, corrupted component state); a prefetcher or policy
+/// description starts with its kind.
+fn corruptions(key: &str, state: &Content, buffer_entries: usize) -> Vec<(String, Content)> {
+    let fields = state.as_map();
+    match (key, fields) {
+        ("icache" | "dcache", Some(fields)) => {
+            let lines = serde::map_field(fields, "lines").unwrap();
+            reshaped("lines", lines)
+                .into_iter()
+                .map(|(what, lines)| (what, with_field(state, "lines", lines)))
+                .collect()
+        }
+        ("ibuf" | "dbuf", Some(_)) => {
+            let entry = Content::Map(vec![
+                ("block".into(), Content::U64(0x40)),
+                ("ready_at".into(), Content::U64(0)),
+            ]);
+            let entries = Content::Seq(vec![entry; buffer_entries + 1]);
+            vec![(
+                format!("{} entries", buffer_entries + 1),
+                with_field(state, "entries", entries),
+            )]
+        }
+        // Prefetcher and policy states are externally tagged maps; the
+        // unit kinds ("none", "passthrough") carry nothing to corrupt.
+        // A policy's `degree` is a run-time decision, not shape.
+        ("ipf" | "dpf" | "ithrottle" | "dthrottle", Some([(kind, inner)])) => inner
+            .as_map()
+            .expect("tagged state holds a map")
+            .iter()
+            .filter(|(field, _)| key.ends_with("pf") || field != "degree")
+            .flat_map(|(field, value)| {
+                reshaped(field, value).into_iter().map(move |(what, new)| {
+                    let tagged = vec![(kind.clone(), with_field(inner, field, new))];
+                    (format!("{kind} {what}"), Content::Map(tagged))
+                })
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// A snapshot whose component disagrees in shape with what its own
+/// configuration builds must fail `Machine::resume` — never resume and
+/// then index out of bounds mid-run. Covers every prefetcher kind and
+/// every throttling policy: mid-run snapshots from five cells of the
+/// `grid_cfg` pool, each component corrupted one field at a time.
+#[test]
+fn corrupt_component_shapes_are_rejected_at_resume() {
+    let cells = [
+        (InstPrefetcherKind::None, DataPrefetcherKind::None, 0),
+        (
+            InstPrefetcherKind::Sequential,
+            DataPrefetcherKind::Stride,
+            1,
+        ),
+        (InstPrefetcherKind::Markov, DataPrefetcherKind::Ghb, 2),
+        (InstPrefetcherKind::Tifs, DataPrefetcherKind::BestOffset, 3),
+        (InstPrefetcherKind::Sequential, DataPrefetcherKind::Ampm, 4),
+    ];
+    let program = ehs_repro::workloads::by_name("gsmd").unwrap().program();
+    let trace = brownout_trace();
+    let outcomes = run_parallel(&cells, |&(ikind, dkind, policy)| {
+        let cfg = grid_cfg(ikind, dkind, policy);
+        let mut m = Machine::with_trace(cfg.clone(), &program, trace.clone());
+        m.run_until(150_000).expect("first leg");
+        let snap = m.snapshot(&program);
+        assert!(
+            Machine::resume(&snap, &program, trace.clone()).is_ok(),
+            "{ikind:?}/{dkind:?}/{policy}: the uncorrupted snapshot must resume"
+        );
+        let whole = snap.to_content();
+        let mut kinds = Vec::new();
+        let mut accepted = Vec::new();
+        for (key, state) in whole.as_map().unwrap() {
+            for (what, bad) in corruptions(key, state, cfg.prefetch_buffer_entries) {
+                kinds.push(what.split(' ').next().unwrap().to_string());
+                let json = serde_json::to_string(&with_field(&whole, key, bad)).unwrap();
+                let resumed = Snapshot::from_json(&json)
+                    .map(|s| Machine::resume(&s, &program, trace.clone()).is_ok());
+                if resumed == Ok(true) {
+                    accepted.push(format!("{ikind:?}/{dkind:?}/{policy} {key}: {what}"));
+                }
+            }
+        }
+        (kinds, accepted)
+    });
+    let (kinds, accepted): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    let kinds: Vec<String> = kinds.concat();
+    assert!(
+        accepted.concat().is_empty(),
+        "corrupt snapshots resumed:\n  {}",
+        accepted.concat().join("\n  ")
+    );
+    for kind in [
+        "sequential",
+        "markov",
+        "tifs",
+        "stride",
+        "ghb",
+        "best-offset",
+        "ampm",
+        "ipex",
+        "predictive",
+        "hysteresis",
+        "static-degree",
+    ] {
+        assert!(kinds.iter().any(|k| k == kind), "no {kind} state corrupted");
     }
 }
