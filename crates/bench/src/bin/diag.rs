@@ -1,7 +1,7 @@
 //! Deep-dive diagnostics for one workload (development aid, not a paper
 //! figure).
 //!
-//! Usage: `diag [workload] [--trace [FILE]] [--checkpoint-every N]`
+//! Usage: `diag [workload] [--trace [FILE]]`
 //! (default workload `g721e`).
 //!
 //! With `--trace`, the IPEX(both) run is re-executed with the JSONL
@@ -11,13 +11,6 @@
 //! [`PowerCycleSummary`](ehs_sim::SimEvent) rollups, and a
 //! reconciliation of the per-event tallies against the aggregate
 //! counters of the same run.
-//!
-//! With `--checkpoint-every N`, the IPEX(both) run is additionally
-//! re-executed in snapshot/resume legs of N simulated cycles — every
-//! pause serializes the full machine state to JSON, reloads it, and
-//! resumes a fresh machine from it — and the tool verifies the split
-//! run's state digests and final results are bit-identical to the
-//! uninterrupted run's.
 
 use ehs_bench::{expect_ok, pct, run_one};
 use ehs_sim::prelude::*;
@@ -25,7 +18,6 @@ use ehs_sim::prelude::*;
 fn main() {
     let mut name = String::from("g721e");
     let mut trace_to: Option<Option<String>> = None;
-    let mut checkpoint_every: Option<u64> = None;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
         if a == "--trace" {
@@ -34,14 +26,9 @@ fn main() {
                 args.next();
             }
             trace_to = Some(file);
-        } else if a == "--checkpoint-every" {
-            match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => checkpoint_every = Some(n),
-                _ => {
-                    eprintln!("--checkpoint-every needs a positive cycle count");
-                    std::process::exit(2);
-                }
-            }
+        } else if a.starts_with('-') {
+            eprintln!("diag: unknown option `{a}`\nusage: diag [workload] [--trace [FILE]]");
+            std::process::exit(2);
         } else {
             name = a;
         }
@@ -66,57 +53,6 @@ fn main() {
         }
         traced_run(&name, w, &trace, &path);
     }
-
-    if let Some(every) = checkpoint_every {
-        checkpoint_demo(&name, w, &trace, every);
-    }
-}
-
-/// Re-runs IPEX(both) in snapshot/resume legs of `every` cycles, round-
-/// tripping the full machine state through JSON at each pause, and
-/// verifies the split run is bit-identical to the uninterrupted one.
-fn checkpoint_demo(name: &str, w: &ehs_workloads::Workload, trace: &PowerTrace, every: u64) {
-    let cfg = SimConfig::builder().ipex(Ipex::Both).build();
-    let program = w.program();
-    println!("=== {name} / ipex-both (checkpoint/resume every {every} cycles) ===");
-    let whole = Machine::with_trace(cfg.clone(), &program, trace.clone())
-        .run()
-        .expect("uninterrupted run completes");
-
-    let mut machine = Machine::with_trace(cfg, &program, trace.clone());
-    let mut legs = 0u64;
-    let split = loop {
-        match machine
-            .run_until(machine.cycle().saturating_add(every))
-            .expect("checkpointed run completes")
-        {
-            RunStatus::Completed(r) => break *r,
-            RunStatus::Paused => {
-                legs += 1;
-                let json = machine.snapshot(&program).to_json();
-                let snap = Snapshot::from_json(&json).expect("snapshot round-trips");
-                machine =
-                    Machine::resume(&snap, &program, trace.clone()).expect("snapshot resumes");
-                let digest = machine.state_digest(&program);
-                assert_eq!(
-                    digest,
-                    snap.digest(),
-                    "resumed state digest diverged at cycle {}",
-                    snap.cycle
-                );
-            }
-        }
-    };
-    assert_eq!(
-        split, whole,
-        "split run result diverged from the uninterrupted run"
-    );
-    println!(
-        "{legs} snapshot/resume legs ({} cycles total): state digests verified at \
-         every pause; final result bit-identical to the uninterrupted run",
-        whole.stats.total_cycles
-    );
-    println!();
 }
 
 /// Re-runs the IPEX(both) configuration with a JSONL sink attached and

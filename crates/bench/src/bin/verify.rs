@@ -6,39 +6,34 @@
 //! verify matrix [--seed SEED] [--samples N] [--no-invariants]
 //! verify slices [--seed SEED] [--samples N] [--slices K] [--workloads a,b,...]
 //! verify fuzz   --seed SEED --iters N [--fault REG] [--max-cycles N]
-//!               [--checkpoint-every N]
 //! verify shrink --input CASE.json [--output FILE] [--fault REG] [--budget N]
-//!               [--checkpoint-every N]
 //! ```
 //!
 //! `matrix` sweeps the full 20-workload × 7-configuration × 4-trace-kind
-//! differential grid; `slices` sweeps the slice-equivalence oracle
-//! (monolithic vs pausing forward pass vs slice-by-slice replay) over a
-//! workload × 7-configuration grid; `fuzz` runs the adversarial outage fuzzer and
-//! prints (shrunk) reproducers for any divergence; `shrink` minimizes a
-//! committed corpus case. With `--checkpoint-every N`, shrinking resumes
-//! each ddmin candidate from the nearest pre-failure machine snapshot
-//! (taken every N simulated cycles) instead of re-simulating from cycle
-//! 0 — bit-identical results, less wall clock; invariant checking is off
-//! on that path, so it minimizes architectural divergences only. Seeds
-//! may be decimal, hex, or arbitrary tags (`--seed 0xEHS` works). Exit
-//! status is 0 when everything matched, 1 on any divergence, 2 on a
-//! usage error.
+//! differential grid; `slices` sweeps the pause/resume oracle (an
+//! uninterrupted run vs one paused at K fixed cycles vs one rebuilt from
+//! a JSON snapshot at each pause) over a workload × 7-configuration
+//! grid; `fuzz` runs the adversarial outage fuzzer and prints (shrunk)
+//! reproducers for any divergence; `shrink` minimizes a committed corpus
+//! case, re-running every candidate from cycle 0 with invariant checking
+//! on. Seeds may be decimal, hex, or arbitrary tags (`--seed 0xEHS`
+//! works). Exit status is 0 when everything matched, 1 on any
+//! divergence, 2 on a usage error.
 
 use std::process::ExitCode;
 
 use ehs_sim::FaultPlan;
 use ehs_verify::{
     fuzz::{run_fuzz, FuzzOptions},
-    oracle::{golden_state, run_matrix},
-    parse_seed, shrink_trace, shrink_trace_checkpointed, CorpusCase,
+    oracle::run_matrix,
+    parse_seed, shrink_trace, CorpusCase,
 };
 
 const USAGE: &str = "usage: verify <matrix|fuzz|shrink|slices> [options]
   matrix [--seed SEED] [--samples N] [--no-invariants]
   slices [--seed SEED] [--samples N] [--slices K] [--workloads a,b,...]
-  fuzz   --seed SEED --iters N [--fault REG] [--max-cycles N] [--checkpoint-every N]
-  shrink --input CASE.json [--output FILE] [--fault REG] [--budget N] [--checkpoint-every N]";
+  fuzz   --seed SEED --iters N [--fault REG] [--max-cycles N]
+  shrink --input CASE.json [--output FILE] [--fault REG] [--budget N]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,21 +77,6 @@ fn parse_fault(reg: &str) -> Result<FaultPlan, ExitCode> {
         }),
         Err(e) => {
             eprintln!("verify: --fault: {e}");
-            Err(ExitCode::from(2))
-        }
-    }
-}
-
-/// Parses the shared `--checkpoint-every N` flag (N >= 1 cycles).
-fn parse_checkpoint_every(args: &[String], i: &mut usize) -> Result<u64, ExitCode> {
-    match flag_value(args, i, "--checkpoint-every")?.parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
-        Ok(_) => {
-            eprintln!("verify: --checkpoint-every needs a positive cycle count");
-            Err(ExitCode::from(2))
-        }
-        Err(e) => {
-            eprintln!("verify: --checkpoint-every: {e}");
             Err(ExitCode::from(2))
         }
     }
@@ -167,7 +147,7 @@ fn cmd_matrix(args: &[String]) -> ExitCode {
 fn cmd_slices(args: &[String]) -> ExitCode {
     let mut seed = parse_seed("0xEHS");
     let mut samples = 50_000usize;
-    let mut max_slices = 4usize;
+    let mut slices = 4usize;
     let mut workloads: Vec<&'static ehs_workloads::Workload> =
         ehs_workloads::SUITE.iter().collect();
     let mut i = 0;
@@ -189,7 +169,7 @@ fn cmd_slices(args: &[String]) -> ExitCode {
             },
             "--slices" => match flag_value(args, &mut i, "--slices") {
                 Ok(v) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => max_slices = n,
+                    Ok(n) if n >= 1 => slices = n,
                     Ok(_) | Err(_) => {
                         eprintln!("verify: --slices needs a positive slice count");
                         return ExitCode::from(2);
@@ -226,12 +206,12 @@ fn cmd_slices(args: &[String]) -> ExitCode {
     }
 
     println!(
-        "slice-equivalence matrix: {} workloads x 7 configs, up to {max_slices} slices \
-         (seed {seed:#x}, {samples} samples)",
+        "pause/resume matrix: {} workloads x 7 configs, {slices} slices chained \
+         through JSON snapshots (seed {seed:#x}, {samples} samples)",
         workloads.len()
     );
     let t0 = std::time::Instant::now();
-    let report = ehs_verify::run_slice_matrix(&workloads, seed, samples, max_slices);
+    let report = ehs_verify::run_slice_matrix(&workloads, seed, samples, slices);
     let failures = report.failures();
     println!(
         "{} cells checked in {:.1}s: {} matched, {} failed",
@@ -257,16 +237,11 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     let mut iters = 200u64;
     let mut fault = None;
     let mut max_cycles = None;
-    let mut checkpoint_every = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--seed" => match flag_value(args, &mut i, "--seed") {
                 Ok(v) => seed = parse_seed(v),
-                Err(c) => return c,
-            },
-            "--checkpoint-every" => match parse_checkpoint_every(args, &mut i) {
-                Ok(n) => checkpoint_every = Some(n),
                 Err(c) => return c,
             },
             "--iters" => match flag_value(args, &mut i, "--iters") {
@@ -342,43 +317,12 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     if let Some(f) = report.failures.first() {
         let w = ehs_workloads::by_name(f.case.workload).expect("fuzz workload exists");
         let cfg = f.case.config.build();
-        let shrunk = match checkpoint_every {
-            Some(every) => {
-                println!(
-                    "shrinking first failure (budget 64 runs, checkpoints every {every} cycles)..."
-                );
-                let program = w.program();
-                let golden = golden_state(&program, cfg.nvm.size_bytes as usize);
-                let (shrunk, stats) = shrink_trace_checkpointed(
-                    &program,
-                    &golden,
-                    &cfg,
-                    opts.fault,
-                    &f.case.samples_mw,
-                    64,
-                    every,
-                );
-                println!(
-                    "  {} runs, {} resumed from snapshots, {} cycles skipped",
-                    stats.runs, stats.resumed, stats.cycles_skipped
-                );
-                shrunk
-            }
-            None => {
-                println!("shrinking first failure (budget 64 runs)...");
-                shrink_trace(&f.case.samples_mw, 64, |cand| {
-                    let trace = ehs_energy::PowerTrace::from_samples_mw(cand.to_vec());
-                    ehs_verify::oracle::check_workload(
-                        w,
-                        &cfg,
-                        &trace,
-                        opts.fault,
-                        opts.check_invariants,
-                    )
-                    .is_divergence()
-                })
-            }
-        };
+        println!("shrinking first failure (budget 64 runs)...");
+        let shrunk = shrink_trace(&f.case.samples_mw, 64, |cand| {
+            let trace = ehs_energy::PowerTrace::from_samples_mw(cand.to_vec());
+            ehs_verify::oracle::check_workload(w, &cfg, &trace, opts.fault, opts.check_invariants)
+                .is_divergence()
+        });
         let case = CorpusCase {
             name: format!("fuzz-{seed:x}-iter{}", f.case.iter),
             description: format!(
@@ -411,7 +355,6 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
     let mut output: Option<String> = None;
     let mut fault = None;
     let mut budget = 256usize;
-    let mut checkpoint_every = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -438,10 +381,6 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
                         return ExitCode::from(2);
                     }
                 },
-                Err(c) => return c,
-            },
-            "--checkpoint-every" => match parse_checkpoint_every(args, &mut i) {
-                Ok(n) => checkpoint_every = Some(n),
                 Err(c) => return c,
             },
             other => {
@@ -492,27 +431,7 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
         case.name,
         case.samples_mw.len()
     );
-    let shrunk = match checkpoint_every {
-        Some(every) => {
-            let program = w.program();
-            let golden = golden_state(&program, cfg.nvm.size_bytes as usize);
-            let (shrunk, stats) = shrink_trace_checkpointed(
-                &program,
-                &golden,
-                &cfg,
-                fault,
-                &case.samples_mw,
-                budget,
-                every,
-            );
-            println!(
-                "  checkpoints every {every} cycles: {} runs, {} resumed, {} cycles skipped",
-                stats.runs, stats.resumed, stats.cycles_skipped
-            );
-            shrunk
-        }
-        None => shrink_trace(&case.samples_mw, budget, reproduces),
-    };
+    let shrunk = shrink_trace(&case.samples_mw, budget, reproduces);
     let mut out_case = case.clone();
     out_case.samples_mw = shrunk;
     out_case.description = format!(

@@ -4,9 +4,10 @@
 //! SMARTS (Wunderlich et al.) estimates a long run's metrics from many
 //! short, systematically spaced *measurement windows*, fast-forwarding
 //! between them with functional warming. Our engine has something
-//! better than approximate functional warming: the slice planner's
-//! entry snapshots (`ehs_sim::slice`) are *bit-exact* machine states at
-//! evenly spaced points of the run. Sampled mode resumes a measurement
+//! better than approximate functional warming: a pausing forward pass
+//! captures [`Snapshot`]s, *bit-exact* machine states, at evenly spaced
+//! points of the run (pausing is computation-neutral and
+//! [`Machine::resume`] is exact). Sampled mode resumes a measurement
 //! window of `window_cycles` simulated cycles at every cut, so the only
 //! error left is sampling error — the gaps between windows — which the
 //! reported CIs quantify honestly.
@@ -41,15 +42,14 @@
 use ehs_energy::PowerTrace;
 use ehs_isa::Program;
 use ehs_sim::prelude::*;
-use ehs_sim::slice::{self, SliceError, SlicePlan};
 use ehs_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
 use crate::stats::{Accumulator, Ci};
 
-/// Initial snapshot spacing for the sampled forward pass — half the
-/// `verify slices` grain, so even short suite workloads yield enough
-/// windows for a meaningful dispersion estimate.
+/// Initial snapshot spacing for the sampled forward pass: fine enough
+/// that even short suite workloads yield enough windows for a
+/// meaningful dispersion estimate.
 pub const SAMPLE_GRAIN_CYCLES: u64 = 25_000;
 
 /// Minimum measurement-window length: long enough to amortise the
@@ -59,7 +59,8 @@ pub const MIN_WINDOW_CYCLES: u64 = 2_000;
 /// How to run sampled mode.
 #[derive(Debug, Clone)]
 pub struct SampledOptions {
-    /// Target number of measurement windows (= slice-plan cut budget).
+    /// Target number of measurement windows (= the forward pass's cut
+    /// budget).
     pub windows: usize,
     /// Fraction of the inter-cut spacing each window measures
     /// (`0 < fraction <= 1`); the balance is the sampled-out gap.
@@ -143,20 +144,16 @@ pub fn sampled_report(
     opts: &SampledOptions,
 ) -> Result<SampledReport, SimError> {
     let program = workload.program();
-    let plan = match slice::plan_auto(
+    let cuts = forward_pass(
         cfg,
         &program,
         trace,
         opts.windows.max(1),
         SAMPLE_GRAIN_CYCLES,
-    ) {
-        Ok(fwd) => fwd.plan,
-        Err(SliceError::Sim(e)) => return Err(e),
-        Err(e) => panic!("sampled forward pass failed structurally: {e}"),
-    };
-    let window_cycles = window_length(&plan, opts.fraction);
+    )?;
+    let window_cycles = window_length(&cuts, opts.fraction);
 
-    let samples = measure_windows(&plan, &program, trace, window_cycles)?;
+    let samples = measure_windows(&cuts, &program, trace, window_cycles)?;
 
     let mut ipc = Accumulator::new();
     let mut energy = Accumulator::new();
@@ -187,16 +184,63 @@ pub fn sampled_report(
     })
 }
 
+/// Runs the program to completion once, snapshotting every `grain`
+/// cycles, and thins the kept cuts (drop every other one, double the
+/// spacing) whenever they would reach `2 * max_cuts` — so a run of
+/// *unknown* length ends with between `max_cuts / 2` and `max_cuts`
+/// evenly spaced cuts, the first at cycle 0, without ever holding more
+/// than `2 * max_cuts` snapshots.
+///
+/// Thinning is sound because pausing is neutral: a snapshot is the same
+/// whether or not the pass paused before it.
+fn forward_pass(
+    cfg: &SimConfig,
+    program: &Program,
+    trace: &PowerTrace,
+    max_cuts: usize,
+    grain: u64,
+) -> Result<Vec<Snapshot>, SimError> {
+    let mut machine = Machine::with_trace(cfg.clone(), program, trace.clone());
+    let mut cuts = vec![machine.snapshot(program)];
+    let mut g = grain;
+    loop {
+        // Pause targets advance from the machine's *actual* cycle, not
+        // an accumulated schedule, so overshooting pause points (backup
+        // windows are indivisible) cannot produce degenerate gaps.
+        let target = machine.cycle().saturating_add(g);
+        match machine.run_until(target)? {
+            RunStatus::Paused => {
+                cuts.push(machine.snapshot(program));
+                if cuts.len() >= 2 * max_cuts {
+                    thin(&mut cuts);
+                    g = g.saturating_mul(2);
+                }
+            }
+            RunStatus::Completed(_) => break,
+        }
+    }
+    while cuts.len() > max_cuts {
+        thin(&mut cuts);
+    }
+    Ok(cuts)
+}
+
+/// Drops every other cut, keeping cuts 0, 2, 4, …: strictly shortens
+/// any list of two or more.
+fn thin(cuts: &mut Vec<Snapshot>) {
+    let mut keep = false;
+    cuts.retain(|_| {
+        keep = !keep;
+        keep
+    });
+}
+
 /// Picks the common window length: `fraction` of the median inter-cut
-/// spacing, floored at [`MIN_WINDOW_CYCLES`]. A single-cut plan (the
-/// whole program fits in one grain) measures everything — the estimate
+/// spacing, floored at [`MIN_WINDOW_CYCLES`]. A single cut (the whole
+/// program fits in one grain) measures everything — the estimate
 /// degenerates to the exact value.
-fn window_length(plan: &SlicePlan, fraction: f64) -> u64 {
-    let mut gaps: Vec<u64> = plan
-        .entries
-        .windows(2)
-        .map(|w| w[1].cycle - w[0].cycle)
-        .collect();
+fn window_length(cuts: &[Snapshot], fraction: f64) -> u64 {
+    let mut gaps: Vec<u64> = cuts.windows(2).map(|w| w[1].cycle - w[0].cycle).collect();
     if gaps.is_empty() {
         return u64::MAX;
     }
@@ -206,16 +250,16 @@ fn window_length(plan: &SlicePlan, fraction: f64) -> u64 {
     ((median as f64 * frac) as u64).max(MIN_WINDOW_CYCLES)
 }
 
-/// Simulates one measurement window per plan entry, in plan order.
+/// Simulates one measurement window per cut, in cut order.
 fn measure_windows(
-    plan: &SlicePlan,
+    cuts: &[Snapshot],
     program: &Program,
     trace: &PowerTrace,
     window_cycles: u64,
 ) -> Result<Vec<WindowSample>, SimError> {
     let run_window = |i: usize| -> Result<WindowSample, SimError> {
-        let mut machine = Machine::resume(&plan.entries[i], program, trace.clone())
-            .unwrap_or_else(|e| panic!("window {i} cannot resume its own plan entry: {e}"));
+        let mut machine = Machine::resume(&cuts[i], program, trace.clone())
+            .unwrap_or_else(|e| panic!("window {i} cannot resume its own cut: {e}"));
         let c0 = machine.cycle();
         let r0 = machine.result();
         let _ = machine.run_until(c0.saturating_add(window_cycles))?;
@@ -231,7 +275,7 @@ fn measure_windows(
         })
     };
 
-    (0..plan.len()).map(run_window).collect()
+    (0..cuts.len()).map(run_window).collect()
 }
 
 #[cfg(test)]

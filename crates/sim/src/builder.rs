@@ -22,12 +22,32 @@
 
 use ehs_energy::{CapacitorConfig, EnergyModel};
 use ehs_mem::{CacheConfig, NvmConfig, NvmTech, BLOCK_SIZE};
-use ehs_prefetch::{DataPrefetcherKind, InstPrefetcherKind};
+use ehs_prefetch::{DataPrefetcherKind, InstPrefetcherKind, MAX_DEGREE};
 use ipex::{IpexConfig, PolicyConfig};
 
 use crate::config::PrefetchMode;
 use crate::trace::TraceMode;
 use crate::SimConfig;
+
+/// Upper bound on every per-event cycle count: the instruction
+/// latencies, the NVM block read and write latencies, and the fixed
+/// backup and restore times (2^24 cycles, 84 ms at 200 MHz).
+///
+/// With [`MAX_SIM_CYCLES`] it keeps every cycle addition far from
+/// wrapping: the machine stops within one event of `max_cycles`, and
+/// the longest event, a backup of every block of two 4 GiB caches, is
+/// under 2^53 cycles. It also bounds the host work of one event, which
+/// walks the power trace sample by sample.
+const MAX_EVENT_CYCLES: u64 = 1 << 24;
+
+/// Upper bound on `max_cycles` (2^62, far beyond any real run).
+const MAX_SIM_CYCLES: u64 = 1 << 62;
+
+/// Upper bound on prefetch-buffer entries. The buffer is a small fully
+/// associative array (Table 1: 4 entries, Fig. 17 sweeps 2–8) allocated
+/// up front, so a huge count would abort on allocation instead of
+/// failing here.
+const MAX_PREFETCH_BUFFER_ENTRIES: usize = 1024;
 
 /// Which caches IPEX (or another throttling policy) throttles — the
 /// paper's three comparison points.
@@ -113,9 +133,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets both caches to `kb` kilobytes (Table 1: 2 kB each).
+    /// Sets both caches to `kb` kilobytes (Table 1: 2 kB each). A size
+    /// past `u32::MAX` bytes saturates, which `try_build` rejects.
     pub fn cache_kb(self, kb: u32) -> Self {
-        self.cache_bytes(kb * 1024)
+        self.cache_bytes(kb.saturating_mul(1024))
     }
 
     /// Sets both caches to `bytes` bytes.
@@ -268,7 +289,10 @@ impl SimConfigBuilder {
                 problems.push(format!("{name}: smaller than one {BLOCK_SIZE}-byte block"));
             } else if c.assoc == 0 {
                 problems.push(format!("{name}: associativity must be at least 1"));
-            } else if c.size_bytes % (BLOCK_SIZE * c.assoc) != 0 {
+            } else if BLOCK_SIZE
+                .checked_mul(c.assoc)
+                .is_none_or(|way_bytes| !c.size_bytes.is_multiple_of(way_bytes))
+            {
                 problems.push(format!(
                     "{name}: capacity must be a multiple of assoc * block size"
                 ));
@@ -279,25 +303,70 @@ impl SimConfigBuilder {
                 ));
             }
         }
-        if cfg.prefetch_buffer_entries == 0 {
-            problems.push("prefetch_buffer_entries: must be at least 1".to_owned());
+        if !(1..=MAX_PREFETCH_BUFFER_ENTRIES).contains(&cfg.prefetch_buffer_entries) {
+            problems.push(format!(
+                "prefetch_buffer_entries: must be 1..={MAX_PREFETCH_BUFFER_ENTRIES}"
+            ));
         }
-        if cfg.prefetch_degree == 0 {
-            problems.push("prefetch_degree: must be at least 1".to_owned());
+        if !(1..=MAX_DEGREE).contains(&cfg.prefetch_degree) {
+            problems.push(format!("prefetch_degree: must be 1..={MAX_DEGREE}"));
         }
-        if cfg.max_cycles == 0 {
-            problems.push("max_cycles: must be positive".to_owned());
+        if !(1..=MAX_SIM_CYCLES).contains(&cfg.max_cycles) {
+            problems.push(format!("max_cycles: must be 1..={MAX_SIM_CYCLES}"));
         }
-        if cfg.latencies.contains(&0) {
-            problems.push("latencies: every instruction class takes at least one cycle".to_owned());
+        if cfg
+            .latencies
+            .iter()
+            .any(|l| !(1..=MAX_EVENT_CYCLES).contains(l))
+        {
+            problems.push(format!(
+                "latencies: every instruction class takes 1..={MAX_EVENT_CYCLES} cycles"
+            ));
+        }
+        for (name, cycles) in [
+            ("nvm.read_cycles", cfg.nvm.read_cycles),
+            ("nvm.write_cycles", cfg.nvm.write_cycles),
+            ("restore_cycles", cfg.restore_cycles),
+            ("backup_base_cycles", cfg.backup_base_cycles),
+        ] {
+            if cycles > MAX_EVENT_CYCLES {
+                problems.push(format!("{name}: at most {MAX_EVENT_CYCLES} cycles"));
+            }
+        }
+        let (e, nvm) = (&cfg.energy, &cfg.nvm);
+        for (name, value) in [
+            ("energy.cache_access_nj", e.cache_access_nj),
+            ("energy.cache_leak_mw_per_2kb", e.cache_leak_mw_per_2kb),
+            ("energy.core_leak_mw", e.core_leak_mw),
+            ("energy.compute.alu_nj", e.compute.alu_nj),
+            ("energy.compute.mul_nj", e.compute.mul_nj),
+            ("energy.compute.div_nj", e.compute.div_nj),
+            ("energy.compute.mem_nj", e.compute.mem_nj),
+            ("energy.nvff_store_nj_per_bit", e.nvff_store_nj_per_bit),
+            ("energy.nvff_restore_nj_per_bit", e.nvff_restore_nj_per_bit),
+            ("nvm.read_nj", nvm.read_nj),
+            ("nvm.write_nj", nvm.write_nj),
+            ("nvm.leak_mw", nvm.leak_mw),
+            ("nvm.active_leak_fraction", nvm.active_leak_fraction),
+        ] {
+            // Written so NaN fails: every comparison with NaN is false.
+            if !(value >= 0.0 && value.is_finite()) {
+                problems.push(format!("{name}: must be finite and non-negative"));
+            }
         }
         let cap = &cfg.capacitor;
-        if cap.capacitance_uf <= 0.0 {
-            problems.push("capacitor: capacitance must be positive".to_owned());
+        // Written so NaN fails: every comparison with NaN is false.
+        if !(cap.capacitance_uf > 0.0 && cap.capacitance_uf.is_finite()) {
+            problems.push("capacitor: capacitance must be positive and finite".to_owned());
         }
-        if !(cap.v_min < cap.v_backup && cap.v_backup < cap.v_on && cap.v_on <= cap.v_max) {
+        if !(cap.v_min < cap.v_backup
+            && cap.v_backup < cap.v_on
+            && cap.v_on <= cap.v_max
+            && cap.v_max.is_finite())
+        {
             problems.push(
-                "capacitor: voltage levels must satisfy v_min < v_backup < v_on <= v_max"
+                "capacitor: voltage levels must be finite and satisfy \
+                 v_min < v_backup < v_on <= v_max"
                     .to_owned(),
             );
         }
@@ -421,6 +490,60 @@ mod tests {
         assert!(err.0.contains("no_prefetch"), "{err}");
         let err = SimConfig::builder().prefetch_degree(0).try_build();
         assert!(err.is_err());
+    }
+
+    /// Each of these passed `try_build` and then failed: a panic in
+    /// `Machine::new` (degree 64, NaN capacitance), an `unreachable!`
+    /// in `Machine::run` (a backup window reaching `u64::MAX`), or a
+    /// silently wrapped cycle counter (latency `u64::MAX`).
+    #[test]
+    fn prefetch_degree_above_the_prefetchers_maximum_is_rejected() {
+        let err = SimConfig::builder().prefetch_degree(64).try_build();
+        assert!(err.unwrap_err().0.contains("prefetch_degree"));
+        assert!(SimConfig::builder()
+            .prefetch_degree(MAX_DEGREE)
+            .try_build()
+            .is_ok());
+    }
+
+    #[test]
+    fn nan_capacitance_is_rejected() {
+        let err = SimConfig::builder().capacitor_uf(f64::NAN).try_build();
+        assert!(err.unwrap_err().0.contains("capacitance"));
+        let err = SimConfig::builder().capacitor_uf(f64::INFINITY).try_build();
+        assert!(err.unwrap_err().0.contains("capacitance"));
+    }
+
+    #[test]
+    fn a_backup_window_that_could_wrap_is_rejected() {
+        let err = SimConfig::builder()
+            .backup_base_cycles(u64::MAX)
+            .try_build();
+        assert!(err.unwrap_err().0.contains("backup_base_cycles"));
+        let err = SimConfig::builder()
+            .restore_cycles(MAX_EVENT_CYCLES + 1)
+            .try_build();
+        assert!(err.unwrap_err().0.contains("restore_cycles"));
+        assert!(SimConfig::builder()
+            .backup_base_cycles(MAX_EVENT_CYCLES)
+            .restore_cycles(MAX_EVENT_CYCLES)
+            .try_build()
+            .is_ok());
+    }
+
+    #[test]
+    fn a_latency_that_could_wrap_the_cycle_counter_is_rejected() {
+        let err = SimConfig::builder()
+            .latencies([u64::MAX, 1, 1, 1, 1])
+            .try_build();
+        assert!(err.unwrap_err().0.contains("latencies"));
+        let err = SimConfig::builder().max_cycles(u64::MAX).try_build();
+        assert!(err.unwrap_err().0.contains("max_cycles"));
+        assert!(SimConfig::builder()
+            .latencies([MAX_EVENT_CYCLES; 5])
+            .max_cycles(MAX_SIM_CYCLES)
+            .try_build()
+            .is_ok());
     }
 
     #[test]

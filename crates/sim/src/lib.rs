@@ -14,6 +14,13 @@
 //! caches come back cold. The *ideal* variant (Fig. 11) makes backup and
 //! restore free.
 //!
+//! The simulator mirrors that JIT checkpoint with one pause/resume
+//! primitive: [`Machine::run_until`] pauses at any cycle (mid-outage
+//! included) without perturbing the run, [`Machine::snapshot`] captures
+//! the complete state and [`Machine::resume`] rebuilds it bit-exactly
+//! ([`snapshot`]). Sampled mode, the sweep's crash checkpoints, the
+//! `verify slices` oracle and the snapshot corpus all build on it.
+//!
 //! ```no_run
 //! use ehs_sim::{Machine, SimConfig};
 //!
@@ -28,7 +35,6 @@ pub mod canon;
 mod config;
 mod machine;
 mod result;
-pub mod slice;
 pub mod snapshot;
 mod trace;
 
@@ -43,7 +49,6 @@ pub use config::{PrefetchMode, SimConfig, CYCLES_PER_TRACE_SAMPLE};
 pub const ENGINE_ID: &str = "predecode-v1";
 pub use machine::{CycleMark, FaultPlan, Machine, RunStatus, SimError};
 pub use result::{SimResult, SimStats};
-pub use slice::{ForwardPass, SliceError, SlicePlan, Stitched};
 pub use snapshot::{MemRun, Phase, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use trace::{
     CountingSink, EventCounts, JsonlSink, NullSink, PathId, SimEvent, TraceMode, TraceSink, Tracer,

@@ -19,11 +19,8 @@
 //!    outage storms, random walks), cross-checks every run against the
 //!    oracle and the invariant sink, and hands any failing trace to the
 //!    **shrinker** ([`shrink`]), which minimizes it to the shortest
-//!    sample vector that still reproduces the failure. The
-//!    checkpoint-accelerated variant ([`checkpoint`]) resumes each ddmin
-//!    candidate from the nearest pre-failure machine snapshot
-//!    (`ehs_sim::snapshot`) instead of re-simulating from cycle 0, with
-//!    bit-identical verdicts.
+//!    sample vector that still reproduces the failure. Every candidate
+//!    is a full run from cycle 0 with invariant checking on.
 //! 3. **Invariant checkers** ([`invariants`]) — a
 //!    [`TraceSink`](ehs_sim::TraceSink) that audits the event stream
 //!    while a run is in flight: per-power-cycle energy conservation,
@@ -40,13 +37,14 @@
 //! `ehs-bench` exposes all of this on the command line
 //! (`verify matrix | fuzz | shrink | slices`).
 //!
-//! A fourth layer, the **slice-equivalence oracle** ([`slices`]),
-//! guards the time-sliced executor (`ehs_sim::slice`): for every
-//! (workload, configuration) cell it proves that a pausing forward
-//! pass and a slice-by-slice replay of the captured plan both land on
-//! the monolithic run's exact result and state digest.
+//! A fourth layer, the **pause/resume oracle** ([`slices`]), guards
+//! the simulator's JIT-checkpoint mirror, `Machine::snapshot` and
+//! `Machine::resume`: for every (workload, configuration) cell it
+//! proves that a machine paused at fixed cycles and a machine rebuilt
+//! from a JSON snapshot at each of those pauses stay digest-equal, and
+//! that both land on the uninterrupted run's exact result and state
+//! digest.
 
-pub mod checkpoint;
 pub mod corpus;
 pub mod fuzz;
 pub mod invariants;
@@ -55,7 +53,6 @@ pub mod shrink;
 pub mod slices;
 pub mod snapcorpus;
 
-pub use checkpoint::{shrink_trace_checkpointed, CheckpointShrinkStats};
 pub use corpus::CorpusCase;
 pub use fuzz::{FuzzFailure, FuzzOptions, FuzzReport};
 pub use invariants::InvariantSink;

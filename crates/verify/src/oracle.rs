@@ -202,13 +202,8 @@ pub fn check_program(
 
 /// The differential verdict table: compares a finished machine run (its
 /// outcome plus final architectural state) against the golden state.
-///
-/// This is the state-only core of [`check_program`], shared with callers
-/// that drive the machine themselves — e.g. the checkpointed shrinker
-/// ([`crate::checkpoint`]), which runs in snapshot/resume legs. Invariant
-/// violations are *not* judged here; they need a sink attached for the
-/// whole run.
-pub fn judge(
+/// Invariant violations are judged separately by [`check_program`].
+fn judge(
     golden: &Result<ArchState, ExecError>,
     run: &Result<ehs_sim::SimResult, SimError>,
     machine: &ArchState,

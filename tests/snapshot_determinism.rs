@@ -16,8 +16,7 @@ use serde::{Content, Serialize};
 
 use ehs_repro::energy::PowerTrace;
 use ehs_repro::prefetch::{DataPrefetcherKind, InstPrefetcherKind};
-use ehs_repro::sim::slice::{plan_at, run_sliced_serial};
-use ehs_repro::sim::{Ipex, Machine, SimConfig, Snapshot};
+use ehs_repro::sim::{Ipex, Machine, RunStatus, SimConfig, Snapshot};
 use ehs_repro::verify::run_parallel;
 use ehs_repro::workloads::SUITE;
 
@@ -121,12 +120,12 @@ fn grid_cfg(ikind: InstPrefetcherKind, dkind: DataPrefetcherKind, policy: u8) ->
 }
 
 proptest! {
-    /// Random K-way slicing at arbitrary `run_until` boundaries
-    /// stitches bit-identically to the monolithic run, across every
+    /// A run cut at random `run_until` boundaries, with the machine
+    /// replaced at every cut by `Machine::resume` of its own snapshot,
+    /// ends bit-identically to the monolithic run, across every
     /// prefetcher kind (4 instruction × 5 data) and all 5 throttling
-    /// policies, under random supplies. This is the end-to-end slicing
-    /// guarantee `ehs_sim::slice` rests on: entry snapshots + replayed
-    /// targets reproduce the exact result and final state digest.
+    /// policies, under random supplies: the chained legs reproduce the
+    /// exact result and final state digest.
     #[test]
     fn random_k_way_slicing_stitches_bit_identically(
         ikind in prop_oneof![
@@ -155,16 +154,33 @@ proptest! {
         let truth = mono.run().expect("monolithic run completes");
         let truth_digest = mono.state_digest(&program);
 
-        // plan_at demands strictly increasing, nonzero boundaries.
         let mut cuts = raw_cuts;
         cuts.sort_unstable();
         cuts.dedup();
-        let plan = plan_at(&cfg, &program, &trace, &cuts).expect("forward pass");
-        let stitched = run_sliced_serial(&plan, &program, &trace).expect("sliced replay");
-        prop_assert_eq!(&stitched.result, &truth, "sliced result diverged");
+        let mut chained = Machine::with_trace(cfg, &program, trace.clone());
+        let mut legs = 1;
+        let mut completed = None;
+        for &cut in &cuts {
+            match chained.run_until(cut).expect("leg runs") {
+                RunStatus::Paused => {
+                    let snap = chained.snapshot(&program);
+                    chained = Machine::resume(&snap, &program, trace.clone()).expect("resume");
+                    legs += 1;
+                }
+                RunStatus::Completed(r) => {
+                    completed = Some(*r);
+                    break;
+                }
+            }
+        }
+        let result = match completed {
+            Some(r) => r,
+            None => chained.run().expect("final leg completes"),
+        };
+        prop_assert_eq!(&result, &truth, "chained result diverged");
         prop_assert_eq!(
-            stitched.state_digest, truth_digest,
-            "sliced final state diverged (plan of {} slices)", plan.len()
+            chained.state_digest(&program), truth_digest,
+            "chained final state diverged ({} legs)", legs
         );
     }
 }
