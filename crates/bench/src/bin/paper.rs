@@ -66,6 +66,17 @@ struct BenchRecord {
     stats_seeds: Option<u64>,
     /// First seed of a `--stats` run; `None` like `stats_seeds`.
     stats_seed_base: Option<u64>,
+    /// Peak resident set size of the run, kB ([`peak_rss_kb`]); `None`
+    /// where it cannot be read (and absent from older records).
+    peak_rss_kb: Option<u64>,
+}
+
+/// Peak resident set size of this process, kB: `VmHWM` in
+/// `/proc/self/status`, or `None` where that cannot be read.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let value = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    value.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 fn usage() -> ! {
@@ -241,6 +252,7 @@ fn main() {
         cycles_simulated: Some(stats.cycles_simulated),
         stats_seeds: stats_mode.then_some(seeds),
         stats_seed_base: stats_mode.then_some(seed_base),
+        peak_rss_kb: peak_rss_kb(),
     };
     ehs_bench::append_record(Path::new("BENCH_sweep.json"), &record)
         .expect("write BENCH_sweep.json");

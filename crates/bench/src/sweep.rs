@@ -28,9 +28,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use ehs_energy::{PowerTrace, TraceSpec};
+use ehs_isa::Program;
 use ehs_sim::canon;
 use ehs_sim::prelude::*;
 use ehs_workloads::Workload;
@@ -220,6 +221,9 @@ pub struct Sweep {
     /// Materialised power traces, keyed by the spec's canonical JSON
     /// (each trace is synthesized once and shared by every point).
     traces: Mutex<HashMap<String, PowerTrace>>,
+    /// Assembled programs, keyed by workload name (each workload is
+    /// assembled once and shared by every point).
+    programs: Mutex<HashMap<&'static str, Arc<Program>>>,
     requested: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -244,6 +248,7 @@ impl Sweep {
             state: Mutex::new(HashMap::new()),
             ready: Condvar::new(),
             traces: Mutex::new(HashMap::new()),
+            programs: Mutex::new(HashMap::new()),
             requested: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -420,14 +425,13 @@ impl Sweep {
                 Ok(hit)
             }
             None => {
-                let workload = ehs_workloads::by_name(point.workload)
-                    .unwrap_or_else(|| panic!("unknown workload `{}` in sweep", point.workload));
+                let program = self.assemble(point.workload);
                 let trace = self.materialise(&point.trace);
                 self.simulated.fetch_add(1, Ordering::Relaxed);
                 let r = match &self.checkpoints {
                     Some(policy) => {
                         let out = crate::run_one_checkpointed(
-                            workload,
+                            &program,
                             &point.config,
                             &trace,
                             &policy.path_for(key),
@@ -444,7 +448,7 @@ impl Sweep {
                         // Counted even when the outcome is an error: a
                         // point that hit its cycle budget or faulted
                         // still simulated every one of those cycles.
-                        let (r, cycles) = crate::run_one_counted(workload, &point.config, &trace);
+                        let (r, cycles) = crate::run_one_counted(&program, &point.config, &trace);
                         self.cycles_simulated.fetch_add(cycles, Ordering::Relaxed);
                         r
                     }
@@ -468,6 +472,19 @@ impl Sweep {
         traces
             .entry(id)
             .or_insert_with(|| spec.synthesize())
+            .clone()
+    }
+
+    /// Assembles (or reuses) the program of the named workload.
+    fn assemble(&self, workload: &'static str) -> Arc<Program> {
+        let mut programs = self.programs.lock().expect("program store poisoned");
+        programs
+            .entry(workload)
+            .or_insert_with(|| {
+                let w = ehs_workloads::by_name(workload)
+                    .unwrap_or_else(|| panic!("unknown workload `{workload}` in sweep"));
+                Arc::new(w.program())
+            })
             .clone()
     }
 

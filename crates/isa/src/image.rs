@@ -1,10 +1,12 @@
 //! Memory images at page granularity.
 //!
 //! A simulated memory is 16 MB, but a run writes a few dozen kilobytes
-//! of it: the program's segments, its data and its stack. [`PageMap`]
-//! records which 4 KiB pages may hold a nonzero byte, so that digests
-//! and snapshot deltas scan only those pages. The invariant every user
-//! relies on: **a page outside the map is all zero**.
+//! of it: the program's segments, its data and its stack. [`PagedMem`]
+//! holds a memory as a table of 4 KiB pages, each allocated on its
+//! first write, and [`LoadImage`] describes a program's fresh image by
+//! its segments and the [`PageMap`] of pages they touch. The invariant
+//! every user relies on: **an absent or unmarked page is all zero**, so
+//! digests and snapshot deltas read only the pages a run wrote.
 //!
 //! [`mem_digest_of`] is the dense reference digest; [`paged_digest`]
 //! computes the same value from the written pages alone, folding each
@@ -12,7 +14,7 @@
 
 use crate::{Program, Segment};
 
-/// Page size of a [`PageMap`], bytes.
+/// Page size of the interpreter's paged memory and of a [`PageMap`], bytes.
 pub const PAGE_BYTES: usize = 4096;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -30,25 +32,17 @@ pub struct PageMap {
 
 impl PageMap {
     /// An empty map covering `mem_len` bytes.
-    pub fn new(mem_len: usize) -> PageMap {
+    pub(crate) fn new(mem_len: usize) -> PageMap {
         PageMap {
             bits: vec![0; mem_len.div_ceil(PAGE_BYTES).div_ceil(64)],
         }
     }
 
-    /// Marks the page holding byte `addr`.
-    #[inline]
-    pub(crate) fn mark_addr(&mut self, addr: usize) {
-        let page = addr / PAGE_BYTES;
-        self.bits[page / 64] |= 1 << (page % 64);
-    }
-
     /// Marks every page overlapping `[addr, addr + len)`.
-    pub fn mark(&mut self, addr: usize, len: usize) {
-        if len > 0 {
-            for page in addr / PAGE_BYTES..=(addr + len - 1) / PAGE_BYTES {
-                self.mark_addr(page * PAGE_BYTES);
-            }
+    pub(crate) fn mark(&mut self, addr: usize, len: usize) {
+        for (at, _) in page_spans(addr, len) {
+            let page = at / PAGE_BYTES;
+            self.bits[page / 64] |= 1 << (page % 64);
         }
     }
 
@@ -57,6 +51,118 @@ impl PageMap {
     pub fn contains(&self, page: usize) -> bool {
         self.bits[page / 64] & (1 << (page % 64)) != 0
     }
+}
+
+/// One page of a [`PagedMem`].
+type Page = [u8; PAGE_BYTES];
+
+/// A `len`-byte memory held as a table of pages, each allocated zeroed
+/// on its first write. An absent page reads as zero and costs one table
+/// entry, so the allocated pages are exactly the pages ever written.
+#[derive(Debug, Clone)]
+pub(crate) struct PagedMem {
+    table: Vec<Option<Box<Page>>>,
+    len: usize,
+}
+
+impl PagedMem {
+    /// An all-zero memory of `len` bytes, holding no page.
+    pub fn new(len: usize) -> PagedMem {
+        PagedMem {
+            table: vec![None; len.div_ceil(PAGE_BYTES)],
+            len,
+        }
+    }
+
+    /// Memory size, bytes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether page `page` has been written.
+    pub fn has_page(&self, page: usize) -> bool {
+        self.table[page].is_some()
+    }
+
+    /// The page holding byte `addr`, or `None` while it is all zero.
+    #[inline]
+    pub fn page(&self, addr: usize) -> Option<&Page> {
+        self.table[addr / PAGE_BYTES].as_deref()
+    }
+
+    /// The page holding byte `addr`, allocated zeroed on first use.
+    #[inline]
+    pub fn page_mut(&mut self, addr: usize) -> &mut Page {
+        self.table[addr / PAGE_BYTES].get_or_insert_with(zeroed_page)
+    }
+
+    /// Copies bytes `[addr, addr + buf.len())` into `buf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the memory size.
+    pub fn read(&self, addr: usize, buf: &mut [u8]) {
+        self.check_range(addr, buf.len());
+        for (at, n) in page_spans(addr, buf.len()) {
+            let (off, dst) = (at % PAGE_BYTES, &mut buf[at - addr..at - addr + n]);
+            match self.page(at) {
+                Some(page) => dst.copy_from_slice(&page[off..off + n]),
+                None => dst.fill(0),
+            }
+        }
+    }
+
+    /// Copies `bytes` into memory at `addr`, allocating every page the
+    /// range overlaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the memory size.
+    pub fn write(&mut self, addr: usize, bytes: &[u8]) {
+        self.check_range(addr, bytes.len());
+        for (at, n) in page_spans(addr, bytes.len()) {
+            let off = at % PAGE_BYTES;
+            self.page_mut(at)[off..off + n].copy_from_slice(&bytes[at - addr..at - addr + n]);
+        }
+    }
+
+    /// The little-endian word at `addr` (any alignment).
+    pub fn read_u32(&self, addr: usize) -> u32 {
+        let mut word = [0u8; 4];
+        self.read(addr, &mut word);
+        u32::from_le_bytes(word)
+    }
+
+    fn check_range(&self, addr: usize, len: usize) {
+        assert!(
+            addr.checked_add(len).is_some_and(|end| end <= self.len),
+            "range {addr:#x}+{len} exceeds memory size {:#x}",
+            self.len
+        );
+    }
+}
+
+#[cold]
+fn zeroed_page() -> Box<Page> {
+    vec![0u8; PAGE_BYTES]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a page-sized slice")
+}
+
+/// Splits `[addr, addr + len)` at page boundaries into `(start, len)`
+/// pieces, in address order.
+fn page_spans(addr: usize, len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = addr + len;
+    let mut at = addr;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let n = (PAGE_BYTES - at % PAGE_BYTES).min(end - at);
+            at += n;
+            (at - n, n)
+        })
+    })
 }
 
 /// The fresh image a program loads into a `len`-byte memory — its
@@ -75,14 +181,14 @@ impl LoadImage {
     ///
     /// Panics if a segment does not fit in `len` bytes.
     pub fn new(program: &Program, len: usize) -> LoadImage {
+        assert!(
+            program.image_end() <= len,
+            "program image ends at {:#x}, past memory size {len:#x}",
+            program.image_end()
+        );
         let segments = program.segments();
         let mut pages = PageMap::new(len);
         for seg in &segments {
-            assert!(
-                seg.base as usize + seg.bytes.len() <= len,
-                "program segment at {:#x} exceeds memory size {len:#x}",
-                seg.base
-            );
             pages.mark(seg.base as usize, seg.bytes.len());
         }
         LoadImage {
@@ -107,10 +213,17 @@ impl LoadImage {
         &self.pages
     }
 
-    /// Copies the segment bytes that fall in `[addr, addr + buf.len())`
-    /// into `buf`, in segment order (a later segment wins), leaving the
-    /// other bytes of `buf` as they are.
-    pub(crate) fn overlay(&self, addr: usize, buf: &mut [u8]) {
+    /// Writes the segments into `mem`, in segment order.
+    pub(crate) fn load_into(&self, mem: &mut PagedMem) {
+        for seg in &self.segments {
+            mem.write(seg.base as usize, &seg.bytes);
+        }
+    }
+
+    /// Copies image bytes `[addr, addr + buf.len())` into `buf`: the
+    /// segment bytes in segment order (a later segment wins) over zeros.
+    pub fn read(&self, addr: usize, buf: &mut [u8]) {
+        buf.fill(0);
         let end = addr + buf.len();
         for seg in &self.segments {
             let (base, seg_end) = (seg.base as usize, seg.end() as usize);
@@ -121,16 +234,14 @@ impl LoadImage {
         }
     }
 
-    /// Copies image bytes `[addr, addr + buf.len())` into `buf`.
-    pub fn read(&self, addr: usize, buf: &mut [u8]) {
-        buf.fill(0);
-        self.overlay(addr, buf);
-    }
-
     /// [`mem_digest_of`] the image, equal to the `mem_digest` of a
     /// freshly loaded [`Interpreter`](crate::Interpreter).
     pub fn digest(&self) -> u64 {
-        paged_digest(self.len, &self.pages, |addr, buf| self.read(addr, buf))
+        paged_digest(
+            self.len,
+            |page| self.pages.contains(page),
+            |addr, buf| self.read(addr, buf),
+        )
     }
 }
 
@@ -144,12 +255,13 @@ pub fn mem_digest_of(bytes: &[u8]) -> u64 {
     fold_tail(fold_words(FNV_OFFSET, &bytes[..full]), &bytes[full..])
 }
 
-/// [`mem_digest_of`] a `len`-byte image whose pages outside `written`
-/// are all zero. `read(addr, buf)` fills `buf` with the image bytes at
-/// `addr`; it is asked only for written pages and the sub-word tail.
+/// [`mem_digest_of`] a `len`-byte image whose pages for which
+/// `written(page)` is false are all zero. `read(addr, buf)` fills `buf`
+/// with the image bytes at `addr`; it is asked only for written pages
+/// and the sub-word tail.
 pub(crate) fn paged_digest(
     len: usize,
-    written: &PageMap,
+    written: impl Fn(usize) -> bool,
     mut read: impl FnMut(usize, &mut [u8]),
 ) -> u64 {
     let full = len - len % 8;
@@ -157,7 +269,7 @@ pub(crate) fn paged_digest(
     let mut h = FNV_OFFSET;
     for start in (0..full).step_by(PAGE_BYTES) {
         let end = (start + PAGE_BYTES).min(full);
-        if written.contains(start / PAGE_BYTES) {
+        if written(start / PAGE_BYTES) {
             let page = &mut buf[..end - start];
             read(start, page);
             h = fold_words(h, page);
@@ -224,8 +336,16 @@ mod tests {
         for len in [(2 << 20) + 5, 2 << 20] {
             let image = LoadImage::new(&p, len);
             let mut dense = vec![0u8; len];
-            image.overlay(0, &mut dense);
+            for seg in p.segments() {
+                let base = seg.base as usize;
+                dense[base..base + seg.bytes.len()].copy_from_slice(&seg.bytes);
+            }
             assert_eq!(image.digest(), mem_digest_of(&dense));
+            let vm = crate::Interpreter::with_mem_size(&p, len);
+            let mut loaded = vec![0xffu8; len];
+            vm.read_bytes(0, &mut loaded);
+            assert!(loaded == dense, "the interpreter loads the dense image");
+            assert_eq!(vm.mem_digest(), mem_digest_of(&dense));
             let mut window = vec![0xffu8; 64];
             image.read(crate::DATA_BASE as usize - 4, &mut window);
             let at = crate::DATA_BASE as usize - 4;

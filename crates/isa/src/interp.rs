@@ -1,7 +1,9 @@
 //! Functional (untimed) reference interpreter.
 //!
-//! [`Interpreter`] executes a [`Program`] sequentially with a flat byte
-//! memory. It serves two roles in the workspace:
+//! [`Interpreter`] executes a [`Program`] sequentially over a paged
+//! byte memory: a table of 4 KiB pages, each allocated on its first
+//! write, so a machine holds the pages its program touches rather than
+//! the whole address space. It serves two roles in the workspace:
 //!
 //! 1. a test oracle for the workloads — each benchmark's checksum is
 //!    validated against a plain-Rust reference implementation, and
@@ -14,7 +16,7 @@
 //!    exactly sequential execution; outages only change *timing* and
 //!    *energy*.
 
-use crate::image::{paged_digest, LoadImage, PageMap};
+use crate::image::{paged_digest, LoadImage, PagedMem, PAGE_BYTES};
 use crate::predecode::DecodeCache;
 use crate::{ExecClass, ExecError, Instr, MemWidth, Program, Reg, STACK_TOP};
 
@@ -55,7 +57,7 @@ pub struct Step {
     pub halted: bool,
 }
 
-/// A sequential executor for EHS-RV programs over a flat memory.
+/// A sequential executor for EHS-RV programs over a paged memory.
 ///
 /// See the `interp` module documentation for how this integrates with the
 /// timing simulator.
@@ -63,10 +65,9 @@ pub struct Step {
 pub struct Interpreter {
     regs: [u32; 16],
     pc: u32,
-    mem: Vec<u8>,
-    /// Pages ever written (by the program load, a store or
-    /// [`Interpreter::write_bytes`]); every other page is zero.
-    written: PageMap,
+    /// Allocated pages are those ever written (by the program load, a
+    /// store or [`Interpreter::write_bytes`]); every other page is zero.
+    mem: PagedMem,
     halted: bool,
     executed: u64,
     /// Pre-decoded text segment (derived state, never serialized; kept
@@ -91,8 +92,8 @@ impl Interpreter {
     /// Panics if the program image does not fit in `mem_bytes`.
     pub fn with_mem_size(program: &Program, mem_bytes: usize) -> Interpreter {
         let image = LoadImage::new(program, mem_bytes);
-        let mut mem = vec![0u8; mem_bytes];
-        image.overlay(0, &mut mem);
+        let mut mem = PagedMem::new(mem_bytes);
+        image.load_into(&mut mem);
         let mut regs = [0u32; 16];
         regs[Reg::Sp.index()] = STACK_TOP.min(mem_bytes as u32 - 16);
         let predec = DecodeCache::build(&mem, program.text_end());
@@ -100,7 +101,6 @@ impl Interpreter {
             regs,
             pc: program.entry,
             mem,
-            written: image.pages().clone(),
             halted: false,
             executed: 0,
             predec,
@@ -164,21 +164,24 @@ impl Interpreter {
     }
 
     /// FNV-1a digest of the entire memory image, equal to
-    /// [`mem_digest_of`](crate::mem_digest_of) of [`Interpreter::mem`].
+    /// [`mem_digest_of`](crate::mem_digest_of) of its bytes.
     ///
     /// Used by the differential oracle in `ehs-verify` and by snapshots.
     /// Only written pages are read; each unwritten (zero) page costs one
     /// multiply, so the digest costs what the run wrote.
     pub fn mem_digest(&self) -> u64 {
-        paged_digest(self.mem.len(), &self.written, |addr, buf| {
-            buf.copy_from_slice(&self.mem[addr..addr + buf.len()])
-        })
+        paged_digest(
+            self.mem.len(),
+            |page| self.mem.has_page(page),
+            |addr, buf| self.mem.read(addr, buf),
+        )
     }
 
-    /// The pages written so far (program load included); every page
-    /// outside it is zero.
-    pub fn written_pages(&self) -> &PageMap {
-        &self.written
+    /// Whether page `page` (of [`PAGE_BYTES`] bytes) has been written,
+    /// by the program load, a store or [`Interpreter::write_bytes`].
+    /// Only written pages are held; every other page is zero.
+    pub fn has_page(&self, page: usize) -> bool {
+        self.mem.has_page(page)
     }
 
     /// Reads a little-endian word from memory (for assertions in tests).
@@ -187,25 +190,16 @@ impl Interpreter {
     ///
     /// Panics if `addr+4` exceeds the memory size.
     pub fn read_u32(&self, addr: u32) -> u32 {
-        let a = addr as usize;
-        u32::from_le_bytes(self.mem[a..a + 4].try_into().expect("4 bytes"))
+        self.mem.read_u32(addr as usize)
     }
 
-    /// A view of `len` bytes of memory starting at `addr`.
+    /// Copies `buf.len()` bytes of memory starting at `addr` into `buf`.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the memory size.
-    pub fn read_bytes(&self, addr: u32, len: usize) -> &[u8] {
-        &self.mem[addr as usize..addr as usize + len]
-    }
-
-    /// A view of the entire memory image.
-    ///
-    /// Used by the snapshot subsystem in `ehs-sim` to diff the live
-    /// image against a freshly loaded program without copying 16 MB.
-    pub fn mem(&self) -> &[u8] {
-        &self.mem
+    pub fn read_bytes(&self, addr: u32, buf: &mut [u8]) {
+        self.mem.read(addr as usize, buf);
     }
 
     /// Overwrites memory at `addr` with `bytes` (snapshot restore).
@@ -214,9 +208,7 @@ impl Interpreter {
     ///
     /// Panics if the range exceeds the memory size.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        let a = addr as usize;
-        self.mem[a..a + bytes.len()].copy_from_slice(bytes);
-        self.written.mark(a, bytes.len());
+        self.mem.write(addr as usize, bytes);
         self.predec.refresh_range(&self.mem, addr, bytes.len());
     }
 
@@ -240,10 +232,15 @@ impl Interpreter {
         if !addr.is_multiple_of(n) {
             return Err(ExecError::Misaligned { pc, addr });
         }
-        let a = addr as usize;
+        // Aligned and at most a word wide, so the access stays in one
+        // page; an unwritten page reads as zero.
+        let Some(page) = self.mem.page(addr as usize) else {
+            return Ok(0);
+        };
+        let a = addr as usize % PAGE_BYTES;
         Ok(match width {
             MemWidth::Byte => {
-                let b = self.mem[a] as u32;
+                let b = page[a] as u32;
                 if signed {
                     b as u8 as i8 as i32 as u32
                 } else {
@@ -251,14 +248,14 @@ impl Interpreter {
                 }
             }
             MemWidth::Half => {
-                let h = u16::from_le_bytes([self.mem[a], self.mem[a + 1]]) as u32;
+                let h = u16::from_le_bytes([page[a], page[a + 1]]) as u32;
                 if signed {
                     h as u16 as i16 as i32 as u32
                 } else {
                     h
                 }
             }
-            MemWidth::Word => u32::from_le_bytes(self.mem[a..a + 4].try_into().expect("4 bytes")),
+            MemWidth::Word => u32::from_le_bytes(page[a..a + 4].try_into().expect("4 bytes")),
         })
     }
 
@@ -270,16 +267,16 @@ impl Interpreter {
         if !addr.is_multiple_of(n) {
             return Err(ExecError::Misaligned { pc, addr });
         }
-        let a = addr as usize;
-        match width {
-            MemWidth::Byte => self.mem[a] = value as u8,
-            MemWidth::Half => self.mem[a..a + 2].copy_from_slice(&(value as u16).to_le_bytes()),
-            MemWidth::Word => self.mem[a..a + 4].copy_from_slice(&value.to_le_bytes()),
-        }
         // The access is aligned and at most one word wide, so it stays
         // in one page and (self-modifying code) can change at most one
         // pre-decoded slot.
-        self.written.mark_addr(a);
+        let page = self.mem.page_mut(addr as usize);
+        let a = addr as usize % PAGE_BYTES;
+        match width {
+            MemWidth::Byte => page[a] = value as u8,
+            MemWidth::Half => page[a..a + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+            MemWidth::Word => page[a..a + 4].copy_from_slice(&value.to_le_bytes()),
+        }
         self.predec.refresh_word(&self.mem, addr);
         Ok(())
     }
@@ -314,22 +311,14 @@ impl Interpreter {
             Some(None) => {
                 // Covered but undecodable: report the raw word, exactly
                 // as the reference path would.
-                let word = u32::from_le_bytes(
-                    self.mem[pc as usize..pc as usize + 4]
-                        .try_into()
-                        .expect("4 bytes"),
-                );
+                let word = self.mem.read_u32(pc as usize);
                 return Err(ExecError::InvalidInstruction { pc, word });
             }
             None => {
                 if pc as usize + 4 > self.mem.len() || !pc.is_multiple_of(4) {
                     return Err(ExecError::OutOfBounds { pc, addr: pc });
                 }
-                let word = u32::from_le_bytes(
-                    self.mem[pc as usize..pc as usize + 4]
-                        .try_into()
-                        .expect("4 bytes"),
-                );
+                let word = self.mem.read_u32(pc as usize);
                 let instr =
                     Instr::decode(word).map_err(|_| ExecError::InvalidInstruction { pc, word })?;
                 (instr, instr.class())
@@ -665,6 +654,83 @@ mod tests {
         let mut vm = Interpreter::new(&p);
         let err = vm.run(10).unwrap_err();
         assert_eq!(err, ExecError::StepLimit { executed: 10 });
+    }
+
+    fn held_pages(vm: &Interpreter) -> Vec<usize> {
+        (0..vm.mem_len().div_ceil(PAGE_BYTES))
+            .filter(|&p| vm.has_page(p))
+            .collect()
+    }
+
+    /// Bytes, halves and words at the last aligned slot of a page and
+    /// the first slot of the next stay in their own page.
+    #[test]
+    fn accesses_at_a_page_boundary_stay_in_their_page() {
+        let boundary = 0x20_0000u32;
+        let page = boundary as usize / PAGE_BYTES;
+        for (n, st, ld, ldu) in [
+            (1, "sb", "lb", "lbu"),
+            (2, "sh", "lh", "lhu"),
+            (4, "sw", "lw", "lw"),
+        ] {
+            let p = assemble(&format!(
+                ".text\nmain:\n li a1, {boundary}\n li t0, -2023406815\n li t1, 0x5a\n\
+                 {st} t0, -{n}(a1)\n {st} t1, 0(a1)\n\
+                 {ld} a0, -{n}(a1)\n {ldu} a2, -{n}(a1)\n {ld} a3, 0(a1)\n halt\n"
+            ))
+            .unwrap();
+            let mut vm = Interpreter::new(&p);
+            assert!(!vm.has_page(page - 1) && !vm.has_page(page));
+            vm.run(100).unwrap();
+            // t0 = 0x87654321: its low `n` bytes, sign- and zero-extended.
+            let low = 0x8765_4321u32 & (u32::MAX >> (32 - 8 * n));
+            let sign = (low >> (8 * n - 1)) & 1 == 1;
+            let signed = if sign {
+                low | !(u32::MAX >> (32 - 8 * n))
+            } else {
+                low
+            };
+            assert_eq!(vm.reg(Reg::A0), signed, "{ld} at the last slot");
+            assert_eq!(vm.reg(Reg::A2), low, "{ldu} at the last slot");
+            assert_eq!(vm.reg(Reg::A3), 0x5a, "{ld} at the first slot");
+            let mut around = [0xffu8; 8];
+            vm.read_bytes(boundary - 4, &mut around);
+            let mut expect = [0u8; 8];
+            expect[4 - n as usize..4].copy_from_slice(&low.to_le_bytes()[..n as usize]);
+            expect[4] = 0x5a;
+            assert_eq!(around, expect, "{st} bytes around the boundary");
+            assert!(vm.has_page(page - 1) && vm.has_page(page));
+        }
+    }
+
+    /// `write_bytes` over three pages allocates the one never written,
+    /// and reading an unwritten page returns zeros without allocating.
+    #[test]
+    fn write_bytes_spans_pages_and_reads_of_absent_pages_allocate_nothing() {
+        let p = assemble(".text\nmain:\n halt\n.data\nw: .word 7\n").unwrap();
+        let mut vm = Interpreter::new(&p);
+        let loaded = held_pages(&vm);
+        let first = crate::DATA_BASE as usize / PAGE_BYTES;
+        assert_eq!(loaded, [0, first]);
+        // From the end of the written data page, over a whole page never
+        // written, into the start of the next.
+        let addr = (first + 1) * PAGE_BYTES - 10;
+        let bytes: Vec<u8> = (0..PAGE_BYTES + 30).map(|i| i as u8 | 1).collect();
+        vm.write_bytes(addr as u32, &bytes);
+        assert_eq!(held_pages(&vm), [0, first, first + 1, first + 2]);
+        let mut back = vec![0u8; bytes.len() + 8];
+        vm.read_bytes(addr as u32 - 4, &mut back);
+        assert_eq!(back[..4], [0; 4]);
+        assert_eq!(back[4..4 + bytes.len()], bytes[..]);
+        assert_eq!(back[4 + bytes.len()..], [0; 4]);
+        assert_eq!(vm.read_u32(crate::DATA_BASE), 7);
+
+        let mut absent = vec![0xffu8; 2 * PAGE_BYTES];
+        vm.read_bytes((first + 8) as u32 * PAGE_BYTES as u32, &mut absent);
+        assert!(absent.iter().all(|&b| b == 0));
+        assert_eq!(vm.read_u32(0x30_0000), 0);
+        let _ = vm.mem_digest();
+        assert_eq!(held_pages(&vm), [0, first, first + 1, first + 2]);
     }
 
     #[test]

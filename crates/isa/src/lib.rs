@@ -20,9 +20,11 @@
 //! * [`Program`] — a linked program image (text + data + symbols),
 //! * [`Interpreter`] — a functional (untimed) reference interpreter used to
 //!   validate workloads and as a differential-testing oracle for the
-//!   cycle-level simulator.
-//! * [`PageMap`] and [`LoadImage`] — page-granular views of a memory
-//!   image, so digests and snapshot deltas cost what a run wrote.
+//!   cycle-level simulator. Its memory is a table of 4 KiB pages, each
+//!   allocated on its first write.
+//! * [`PageMap`] and [`LoadImage`] — a program's fresh image by its
+//!   segments and the pages they touch, so digests and snapshot deltas
+//!   cost what a run wrote.
 //!
 //! ```
 //! use ehs_isa::{asm, Interpreter};

@@ -15,6 +15,7 @@
 //! decode-from-memory path; program counters outside the covered range
 //! (or with the cache disabled) fall back to that path unchanged.
 
+use crate::image::PagedMem;
 use crate::{ExecClass, Instr};
 
 /// One pre-decoded instruction slot: the resolved operands plus the
@@ -40,7 +41,7 @@ pub(crate) struct DecodeCache {
 
 impl DecodeCache {
     /// Pre-decodes every word of `mem[0..limit)`.
-    pub fn build(mem: &[u8], limit: u32) -> DecodeCache {
+    pub fn build(mem: &PagedMem, limit: u32) -> DecodeCache {
         let limit = limit.min(mem.len() as u32) & !3;
         let slots = (0..limit / 4).map(|w| decode_at(mem, w * 4)).collect();
         DecodeCache {
@@ -66,7 +67,7 @@ impl DecodeCache {
     /// Stores are aligned and at most 4 bytes, so exactly one slot can
     /// change. Runs even while disabled, so re-enabling is always sound.
     #[inline]
-    pub fn refresh_word(&mut self, mem: &[u8], addr: u32) {
+    pub fn refresh_word(&mut self, mem: &PagedMem, addr: u32) {
         if addr < self.limit {
             let w = addr & !3;
             self.slots[(w >> 2) as usize] = decode_at(mem, w);
@@ -75,7 +76,7 @@ impl DecodeCache {
 
     /// Re-decodes every covered word overlapping `[addr, addr + len)`
     /// (snapshot restore writes arbitrary byte ranges).
-    pub fn refresh_range(&mut self, mem: &[u8], addr: u32, len: usize) {
+    pub fn refresh_range(&mut self, mem: &PagedMem, addr: u32, len: usize) {
         if addr >= self.limit || len == 0 {
             return;
         }
@@ -98,23 +99,23 @@ impl DecodeCache {
     }
 }
 
-fn decode_at(mem: &[u8], addr: u32) -> Option<PreDecoded> {
-    let a = addr as usize;
-    let word = u32::from_le_bytes(mem[a..a + 4].try_into().expect("4 bytes"));
-    Instr::decode(word).ok().map(|instr| PreDecoded {
-        instr,
-        class: instr.class(),
-    })
+fn decode_at(mem: &PagedMem, addr: u32) -> Option<PreDecoded> {
+    Instr::decode(mem.read_u32(addr as usize))
+        .ok()
+        .map(|instr| PreDecoded {
+            instr,
+            class: instr.class(),
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn mem_with(words: &[u32]) -> Vec<u8> {
-        let mut mem = vec![0u8; 64];
+    fn mem_with(words: &[u32]) -> PagedMem {
+        let mut mem = PagedMem::new(64);
         for (i, w) in words.iter().enumerate() {
-            mem[i * 4..i * 4 + 4].copy_from_slice(&w.to_le_bytes());
+            mem.write(i * 4, &w.to_le_bytes());
         }
         mem
     }
@@ -138,10 +139,10 @@ mod tests {
         let mut mem = mem_with(&[0, 0]);
         let mut c = DecodeCache::build(&mem, 8);
         assert!(c.lookup(4).unwrap().is_some());
-        mem[4..8].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
+        mem.write(4, &0xffff_ffffu32.to_le_bytes());
         c.refresh_word(&mem, 5);
         assert!(c.lookup(4).unwrap().is_none(), "store re-decodes the word");
-        mem[4..8].copy_from_slice(&0u32.to_le_bytes());
+        mem.write(4, &0u32.to_le_bytes());
         c.refresh_range(&mem, 2, 6);
         assert!(c.lookup(4).unwrap().is_some(), "restore re-decodes range");
         c.refresh_word(&mem, 4096); // out of range: no-op, no panic

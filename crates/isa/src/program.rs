@@ -70,6 +70,15 @@ impl Program {
         TEXT_BASE + (self.text.len() as u32) * 4
     }
 
+    /// Address one past the highest segment byte: the smallest memory
+    /// the program loads into.
+    pub fn image_end(&self) -> usize {
+        self.data
+            .iter()
+            .map(|s| s.end() as usize)
+            .fold(self.text_end() as usize, usize::max)
+    }
+
     /// Looks up a symbol's address.
     pub fn symbol(&self, name: &str) -> Option<u32> {
         self.symbols.get(name).copied()

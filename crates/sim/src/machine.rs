@@ -509,8 +509,7 @@ impl Machine {
     /// mid-recharge), or after completion.
     pub fn snapshot(&self, program: &Program) -> Snapshot {
         let fresh = LoadImage::new(program, self.cfg.nvm.size_bytes as usize);
-        let mem_delta =
-            snapshot::mem_delta_paged(&fresh, self.interp.mem(), self.interp.written_pages());
+        let mem_delta = snapshot::mem_delta_paged(&fresh, &self.interp);
         Snapshot {
             version: SNAPSHOT_VERSION,
             cfg: self.cfg.clone(),
@@ -568,7 +567,7 @@ impl Machine {
     ///
     /// [`SnapshotError`] when the snapshot's version, program, trace, or
     /// any state component does not match this build / the supplied
-    /// inputs.
+    /// inputs, or when its NVM is too small to hold `program`.
     pub fn resume(
         snap: &Snapshot,
         program: &Program,
@@ -583,6 +582,15 @@ impl Machine {
             Cow::Owned(snap.clone().migrate()?)
         };
         debug_assert_eq!(snap.version, SNAPSHOT_VERSION);
+        // Building the machine loads the program, which panics on a
+        // memory too small to hold it.
+        let nvm_bytes = snap.cfg.nvm.size_bytes;
+        if program.image_end() as u64 > nvm_bytes {
+            return Err(SnapshotError::State(format!(
+                "cfg.nvm.size_bytes {nvm_bytes} cannot hold the program image ({} bytes)",
+                program.image_end()
+            )));
+        }
         let mut m = Machine::with_trace(snap.cfg.clone(), program, trace);
         let program_digest = m.interp.mem_digest();
         if snap.program_digest != program_digest {
@@ -599,7 +607,7 @@ impl Machine {
             });
         }
 
-        let image_len = m.interp.mem().len();
+        let image_len = m.interp.mem_len();
         snapshot::apply_mem_delta(&snap.mem_delta, image_len, |addr, bytes| {
             m.interp.write_bytes(addr, bytes)
         })?;

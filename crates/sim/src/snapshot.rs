@@ -28,7 +28,7 @@
 //! [`Machine::resume`]: crate::Machine::resume
 
 use ehs_energy::{EnergyBreakdown, PowerTrace};
-use ehs_isa::{LoadImage, PageMap, PAGE_BYTES};
+use ehs_isa::{Interpreter, LoadImage, PAGE_BYTES};
 use ehs_mem::{BufferState, CacheState, NvmState};
 use ehs_prefetch::PrefetcherState;
 use ipex::PolicyState;
@@ -314,9 +314,9 @@ pub fn mem_delta(base: &[u8], cur: &[u8]) -> Vec<MemRun> {
     runs
 }
 
-/// [`mem_delta`] of `cur` against `fresh`, scanning only the pages
-/// where either may be nonzero: those in `written` (every other page of
-/// `cur` is zero) or touched by the program's segments.
+/// [`mem_delta`] of `cur`'s memory against `fresh`, scanning only the
+/// pages where either may be nonzero: those `cur` holds (every other
+/// page of it is zero) or touched by the program's segments.
 ///
 /// The runs are identical to the dense [`mem_delta`]'s: a run never
 /// spans a page both images hold as zero, since that page is 4096
@@ -326,12 +326,13 @@ pub fn mem_delta(base: &[u8], cur: &[u8]) -> Vec<MemRun> {
 /// # Panics
 ///
 /// Panics if the images differ in length.
-pub fn mem_delta_paged(fresh: &LoadImage, cur: &[u8], written: &PageMap) -> Vec<MemRun> {
-    assert_eq!(fresh.len(), cur.len(), "image size mismatch");
-    let scan = |p: usize| written.contains(p) || fresh.pages().contains(p);
-    let pages = cur.len().div_ceil(PAGE_BYTES);
+pub fn mem_delta_paged(fresh: &LoadImage, cur: &Interpreter) -> Vec<MemRun> {
+    let len = cur.mem_len();
+    assert_eq!(fresh.len(), len, "image size mismatch");
+    let scan = |p: usize| cur.has_page(p) || fresh.pages().contains(p);
+    let pages = len.div_ceil(PAGE_BYTES);
     let mut runs = Vec::new();
-    let mut base = Vec::new();
+    let (mut base, mut live) = (Vec::new(), Vec::new());
     let mut p = 0;
     while p < pages {
         if !scan(p) {
@@ -342,17 +343,15 @@ pub fn mem_delta_paged(fresh: &LoadImage, cur: &[u8], written: &PageMap) -> Vec<
         while p < pages && scan(p) {
             p += 1;
         }
-        let (start, end) = (first * PAGE_BYTES, (p * PAGE_BYTES).min(cur.len()));
+        let (start, end) = (first * PAGE_BYTES, (p * PAGE_BYTES).min(len));
         base.resize(end - start, 0);
         fresh.read(start, &mut base);
-        runs.extend(
-            mem_delta(&base, &cur[start..end])
-                .into_iter()
-                .map(|r| MemRun {
-                    addr: r.addr + start as u32,
-                    hex: r.hex,
-                }),
-        );
+        live.resize(end - start, 0);
+        cur.read_bytes(start as u32, &mut live);
+        runs.extend(mem_delta(&base, &live).into_iter().map(|r| MemRun {
+            addr: r.addr + start as u32,
+            hex: r.hex,
+        }));
     }
     runs
 }
@@ -501,15 +500,17 @@ mod tests {
         let len = 3 << 20;
         let other = ehs_isa::asm::assemble(".text\n halt\n.data\nw: .word 7, 8, 9\n").unwrap();
         let fresh = LoadImage::new(&other, len);
-        let mut cur = vec![0u8; len];
-        cur[5] = 1;
-        cur[PAGE_BYTES - 2..PAGE_BYTES + 3].fill(4);
-        let mut written = PageMap::new(len);
-        written.mark(0, PAGE_BYTES + 3);
+        let own = ehs_isa::asm::assemble(".text\n halt\n").unwrap();
+        let mut cur = Interpreter::with_mem_size(&own, len);
+        cur.write_bytes(5, &[1]);
+        cur.write_bytes(PAGE_BYTES as u32 - 2, &[4; 5]);
+        assert!(!cur.has_page(ehs_isa::DATA_BASE as usize / PAGE_BYTES));
         let mut dense = vec![0u8; len];
         fresh.read(0, &mut dense);
-        let delta = mem_delta_paged(&fresh, &cur, &written);
-        assert_eq!(delta, mem_delta(&dense, &cur));
+        let mut dense_cur = vec![0u8; len];
+        cur.read_bytes(0, &mut dense_cur);
+        let delta = mem_delta_paged(&fresh, &cur);
+        assert_eq!(delta, mem_delta(&dense, &dense_cur));
         assert!(
             delta.iter().any(|r| r.addr == ehs_isa::DATA_BASE),
             "{delta:?}"

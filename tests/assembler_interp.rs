@@ -3,7 +3,9 @@
 //! straight assembly, and workload programs execute identically when
 //! reassembled.
 
-use ehs_repro::isa::{asm, Instr, Interpreter, Reg};
+use std::collections::BTreeSet;
+
+use ehs_repro::isa::{asm, AccessKind, Instr, Interpreter, LoadImage, Reg, PAGE_BYTES};
 
 #[test]
 fn workload_sources_reassemble_identically() {
@@ -51,6 +53,40 @@ fn interpreter_halts_every_workload_within_budget() {
             w.reference_checksum(),
             "{} checksum",
             w.name()
+        );
+    }
+}
+
+/// A machine holds the pages its program touches: a fresh 16 MiB
+/// interpreter exactly the load image's pages, and a finished run those
+/// plus every page a store hit (3 to 20 pages per workload).
+#[test]
+fn workloads_hold_only_the_pages_they_write() {
+    let pages = |vm: &Interpreter| -> BTreeSet<usize> {
+        (0..vm.mem_len() / PAGE_BYTES)
+            .filter(|&p| vm.has_page(p))
+            .collect()
+    };
+    for w in &ehs_repro::workloads::SUITE {
+        let program = w.program();
+        let mut vm = Interpreter::new(&program);
+        let image = LoadImage::new(&program, vm.mem_len());
+        let mut written: BTreeSet<usize> = (0..vm.mem_len() / PAGE_BYTES)
+            .filter(|&p| image.pages().contains(p))
+            .collect();
+        assert_eq!(pages(&vm), written, "{}: fresh image", w.name());
+        while !vm.halted() {
+            let step = vm.step().unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+            if let Some(a) = step.access.filter(|a| a.kind == AccessKind::Write) {
+                written.insert(a.addr as usize / PAGE_BYTES);
+            }
+        }
+        assert_eq!(pages(&vm), written, "{}: after halt", w.name());
+        assert!(
+            (3..=20).contains(&written.len()),
+            "{}: {} pages",
+            w.name(),
+            written.len()
         );
     }
 }

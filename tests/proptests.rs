@@ -436,11 +436,12 @@ proptest! {
         prop_assert_eq!(after.adaptations, before.adaptations + 1);
     }
 
-    /// The paged memory digest and snapshot delta equal their dense
-    /// references after random stores (run as real `sb`/`sh`/`sw`
-    /// instructions) and random `write_bytes`, including writes that
-    /// straddle page boundaries and memory sizes that are a multiple of
-    /// neither the page nor the 8-byte digest word.
+    /// The paged memory holds the bytes of a dense shadow image, and its
+    /// digest and snapshot delta equal their dense references, after
+    /// random stores (run as real `sb`/`sh`/`sw` instructions) and
+    /// random `write_bytes`, including writes that straddle page
+    /// boundaries and memory sizes that are a multiple of neither the
+    /// page nor the 8-byte digest word.
     #[test]
     fn paged_digest_and_delta_match_dense(
         len in prop_oneof![
@@ -458,14 +459,19 @@ proptest! {
         // Stores land above the text, which stays under 2 KiB.
         const LO: usize = 2048;
         let mut src = String::from(".text\nmain:\n");
+        let mut shadow_stores = Vec::new();
         for &(at, width, value) in &stores {
             let n = 1usize << width;
             let addr = (LO + (at * (len - LO - n) as f64) as usize) & !(n - 1);
             let op = ["sb", "sh", "sw"][width as usize];
             src.push_str(&format!(" li a1, {addr}\n li a2, {value}\n {op} a2, 0(a1)\n"));
+            shadow_stores.push((addr, value.to_le_bytes()[..n].to_vec()));
         }
         src.push_str(" halt\n");
         let program = asm::assemble(&src).expect("store program assembles");
+        let fresh = LoadImage::new(&program, len);
+        let mut shadow = vec![0u8; len];
+        fresh.read(0, &mut shadow);
         let mut vm = Interpreter::with_mem_size(&program, len);
         vm.run(10_000).expect("store program halts");
         for (at, near_page_end, bytes) in &writes {
@@ -479,15 +485,27 @@ proptest! {
                 (at * span as f64) as usize
             };
             vm.write_bytes(addr as u32, bytes);
+            shadow_stores.push((addr, bytes.clone()));
         }
 
-        prop_assert_eq!(vm.mem_digest(), mem_digest_of(vm.mem()));
-        let fresh = LoadImage::new(&program, len);
-        let dense_fresh = Interpreter::with_mem_size(&program, len);
-        prop_assert_eq!(fresh.digest(), mem_digest_of(dense_fresh.mem()));
+        // The dense reference: the shadow image, and the bytes rebuilt
+        // through the paged reader.
+        let dense_fresh = shadow.clone();
+        for (addr, bytes) in &shadow_stores {
+            shadow[*addr..*addr + bytes.len()].copy_from_slice(bytes);
+        }
+        let mut dense = vec![0xa5u8; len];
+        vm.read_bytes(0, &mut dense);
+        prop_assert!(dense == shadow, "paged memory differs from the shadow image");
+        prop_assert_eq!(vm.mem_digest(), mem_digest_of(&dense));
+        prop_assert_eq!(fresh.digest(), mem_digest_of(&dense_fresh));
         prop_assert_eq!(
-            mem_delta_paged(&fresh, vm.mem(), vm.written_pages()),
-            mem_delta(dense_fresh.mem(), vm.mem())
+            fresh.digest(),
+            Interpreter::with_mem_size(&program, len).mem_digest()
+        );
+        prop_assert_eq!(
+            mem_delta_paged(&fresh, &vm),
+            mem_delta(&dense_fresh, &dense)
         );
     }
 }

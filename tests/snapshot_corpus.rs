@@ -158,3 +158,17 @@ fn ipex_config_differing_from_the_config_is_rejected_at_resume() {
     .expect("an IPEX state config differing from cfg must be rejected");
     assert!(err.to_string().contains("ithrottle"), "{err}");
 }
+
+/// An NVM too small for the program used to panic while loading it
+/// inside `Machine::resume` instead of returning an error.
+#[test]
+fn nvm_too_small_for_the_program_is_rejected_at_resume() {
+    for size_bytes in [65536, 4096, 8] {
+        let err = resume_edited("gsmd-baseline.json", |snap| {
+            snap.cfg.nvm.size_bytes = size_bytes;
+        })
+        .err()
+        .unwrap_or_else(|| panic!("an NVM of {size_bytes} bytes must be rejected"));
+        assert!(err.to_string().contains("nvm.size_bytes"), "{err}");
+    }
+}
