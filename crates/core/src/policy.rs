@@ -124,28 +124,34 @@ pub trait ThrottlePolicy {
     fn current_degree(&self) -> u32;
 
     /// Voltage thresholds at which [`ThrottlePolicy::observe_voltage`]
-    /// can change its decision, highest first. Only meaningful together
-    /// with [`ThrottlePolicy::batched_observation_safe`]; policies whose
-    /// decisions do not reduce to fixed voltage thresholds return `&[]`.
+    /// can change its decision, highest first: the band edges of
+    /// [`ThrottlePolicy::skippable_observations`]. Policies whose
+    /// decisions do not depend on where the voltage sits return `&[]`.
     fn thresholds(&self) -> &[f64] {
         &[]
     }
+
+    /// How many further observations, right after a real one, the
+    /// policy can absorb without reading the voltage, provided the
+    /// voltage stays strictly inside one band between consecutive
+    /// [`ThrottlePolicy::thresholds`]. The simulator skips at most that
+    /// many and hands them back through
+    /// [`ThrottlePolicy::skip_observations`]. Policies that fold every
+    /// reading into their state (an EWMA) return 0, the default.
+    fn skippable_observations(&self) -> u64 {
+        0
+    }
+
+    /// Applies `n` observations the simulator skipped, `n` at most
+    /// [`ThrottlePolicy::skippable_observations`] since the last real
+    /// one: the state becomes what `n` calls of `observe_voltage` inside
+    /// the band would have left.
+    fn skip_observations(&mut self, _n: u64) {}
 
     /// Nonvolatile flip-flop bits the policy checkpoints across outages.
     /// The simulator charges these bits to every backup and restore.
     fn nvff_bits(&self) -> u32 {
         0
-    }
-
-    /// `true` when `observe_voltage` is provably a no-op while the
-    /// voltage stays strictly inside one band between consecutive
-    /// [`ThrottlePolicy::thresholds`]. The simulator may then skip
-    /// per-instruction observations inside a safe energy window.
-    /// Policies that accumulate per-observation state (EWMA, sampled
-    /// history) must return `false` to force exact per-instruction
-    /// observation.
-    fn batched_observation_safe(&self) -> bool {
-        false
     }
 
     /// Monotone count of self-adaptation events (threshold moves, table
@@ -193,11 +199,11 @@ impl ThrottlePolicy for IpexController {
         IPEX_NVFF_BITS
     }
 
-    fn batched_observation_safe(&self) -> bool {
+    fn skippable_observations(&self) -> u64 {
         // `observe_voltage` only acts when the threshold-count level
         // changes, which cannot happen while the voltage stays strictly
         // between two adjacent thresholds.
-        true
+        u64::MAX
     }
 
     fn adaptations(&self) -> u64 {
@@ -326,9 +332,9 @@ impl ThrottlePolicy for StaticController {
         self.cfg.degree
     }
 
-    fn batched_observation_safe(&self) -> bool {
+    fn skippable_observations(&self) -> u64 {
         // `observe_voltage` is a no-op everywhere, not just in a band.
-        true
+        u64::MAX
     }
 }
 
@@ -441,8 +447,8 @@ pub struct HysteresisControllerState {
 /// The EWMA accumulator is volatile (an analog sample-and-filter chain
 /// loses its charge), so every power cycle starts unfiltered. Because
 /// the decision depends on the running average, *every* voltage
-/// observation matters: [`ThrottlePolicy::batched_observation_safe`] is
-/// `false` and the simulator takes the exact per-instruction path.
+/// observation matters: [`ThrottlePolicy::skippable_observations`] is
+/// 0 and the simulator takes the exact per-instruction path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HysteresisController {
     cfg: HysteresisConfig,
@@ -872,6 +878,23 @@ impl ThrottlePolicy for PredictiveController {
         None
     }
 
+    fn skippable_observations(&self) -> u64 {
+        // Only the observation that completes a sample period reads the
+        // voltage; the ones before it just count.
+        u64::from(
+            self.cfg
+                .sample_period
+                .saturating_sub(1)
+                .saturating_sub(self.obs_count),
+        )
+    }
+
+    fn skip_observations(&mut self, n: u64) {
+        debug_assert!(n <= self.skippable_observations());
+        self.obs_since_reboot += n;
+        self.obs_count += n as u32;
+    }
+
     fn filter(&mut self, candidates: &mut Vec<u32>) -> usize {
         let total = candidates.len();
         if total == 0 {
@@ -1180,24 +1203,32 @@ impl AnyPolicy {
     }
 
     /// The voltage thresholds the policy reacts to, highest first
-    /// (empty for policies without fixed thresholds). Only meaningful
-    /// together with [`AnyPolicy::batched_observation_safe`].
+    /// (empty for policies without fixed thresholds): the band edges of
+    /// [`AnyPolicy::skippable_observations`].
     pub fn thresholds(&self) -> &[f64] {
         delegate!(self, p => p.thresholds(), &[])
+    }
+
+    /// Observations the policy can absorb, right after a real one,
+    /// without reading the voltage while it stays inside one threshold
+    /// band; passthrough ignores the voltage, so unbounded. See
+    /// [`ThrottlePolicy::skippable_observations`].
+    #[inline]
+    pub fn skippable_observations(&self) -> u64 {
+        delegate!(self, p => p.skippable_observations(), u64::MAX)
+    }
+
+    /// Applies `n` skipped observations in one call. See
+    /// [`ThrottlePolicy::skip_observations`].
+    #[inline]
+    pub fn skip_observations(&mut self, n: u64) {
+        delegate!(self, p => p.skip_observations(n), ())
     }
 
     /// NVFF bits this policy JIT-checkpoints per cache; the simulator
     /// charges them to every backup and restore.
     pub fn nvff_bits(&self) -> u32 {
         delegate!(self, p => p.nvff_bits(), 0)
-    }
-
-    /// `true` when `observe_voltage` is a no-op while the voltage stays
-    /// strictly inside one inter-threshold band, allowing the simulator
-    /// to batch observations over a safe energy window. See
-    /// [`ThrottlePolicy::batched_observation_safe`].
-    pub fn batched_observation_safe(&self) -> bool {
-        delegate!(self, p => p.batched_observation_safe(), true)
     }
 
     /// Monotone count of self-adaptation events. See
@@ -1268,7 +1299,7 @@ mod tests {
         assert!(t.observe_voltage(3.0).is_none());
         assert!(t.stats().is_none());
         assert_eq!(t.nvff_bits(), 0);
-        assert!(t.batched_observation_safe());
+        assert_eq!(t.skippable_observations(), u64::MAX);
         t.on_power_failure();
         t.on_reboot();
     }
@@ -1278,7 +1309,7 @@ mod tests {
         let mut t = AnyPolicy::ipex(IpexConfig::paper_default());
         assert_eq!(t.kind_name(), "ipex");
         assert_eq!(t.nvff_bits(), IPEX_NVFF_BITS);
-        assert!(t.batched_observation_safe());
+        assert_eq!(t.skippable_observations(), u64::MAX);
         t.observe_voltage(3.2);
         let mut cand = vec![1, 2];
         assert_eq!(t.filter(&mut cand), 0);
@@ -1711,14 +1742,44 @@ mod tests {
 
     #[test]
     fn non_batchable_policies_say_so() {
-        let pred = PolicyConfig::Predictive(PredictiveConfig::paper_default()).build();
-        let hyst = PolicyConfig::Hysteresis(HysteresisConfig::paper_default()).build();
+        let mut pred = PolicyConfig::Predictive(PredictiveConfig::paper_default()).build();
+        let mut hyst = PolicyConfig::Hysteresis(HysteresisConfig::paper_default()).build();
         let stat = PolicyConfig::StaticDegree(StaticDegreeConfig::conservative()).build();
-        assert!(!pred.batched_observation_safe());
-        assert!(!hyst.batched_observation_safe());
-        assert!(stat.batched_observation_safe());
+        // Predictive reads the voltage once per sample period: after the
+        // first real observation, 62 more can pass unread.
+        let period = PredictiveConfig::paper_default().sample_period as u64;
+        assert_eq!(pred.skippable_observations(), period - 1);
+        pred.observe_voltage(3.2);
+        assert_eq!(pred.skippable_observations(), period - 2);
+        hyst.observe_voltage(3.2);
+        assert_eq!(hyst.skippable_observations(), 0);
+        assert_eq!(stat.skippable_observations(), u64::MAX);
         assert_eq!(pred.nvff_bits(), PREDICTIVE_NVFF_BITS);
         assert_eq!(hyst.nvff_bits(), 0);
         assert_eq!(stat.nvff_bits(), 0);
+    }
+
+    /// Skipping n observations in one call leaves the predictive
+    /// controller exactly where n calls of `observe_voltage` would, up
+    /// to and across the sample point that follows the span.
+    #[test]
+    fn predictive_skipped_observations_equal_observed_ones() {
+        let cfg = PredictiveConfig::paper_default();
+        let mut observed = PredictiveController::new(cfg);
+        for _ in 0..10 {
+            predictive_cycle(&mut observed, 4096, 3.2);
+        }
+        let mut skipped = observed.clone();
+        for _ in 0..4096 {
+            observed.observe_voltage(3.2);
+            skipped.observe_voltage(3.2);
+            let n = skipped.skippable_observations();
+            skipped.skip_observations(n);
+            for _ in 0..n {
+                observed.observe_voltage(3.2);
+            }
+            assert_eq!(skipped, observed);
+        }
+        assert!(observed.stats().saving_mode_entries > 0, "never throttled");
     }
 }

@@ -21,33 +21,13 @@
 //! [`SimConfigBuilder::try_build`] returns the error instead.
 
 use ehs_energy::{CapacitorConfig, EnergyModel};
-use ehs_mem::{CacheConfig, NvmConfig, NvmTech, BLOCK_SIZE};
-use ehs_prefetch::{DataPrefetcherKind, InstPrefetcherKind, MAX_DEGREE};
+use ehs_mem::{CacheConfig, NvmConfig, NvmTech};
+use ehs_prefetch::{DataPrefetcherKind, InstPrefetcherKind};
 use ipex::{IpexConfig, PolicyConfig};
 
 use crate::config::PrefetchMode;
 use crate::trace::TraceMode;
 use crate::SimConfig;
-
-/// Upper bound on every per-event cycle count: the instruction
-/// latencies, the NVM block read and write latencies, and the fixed
-/// backup and restore times (2^24 cycles, 84 ms at 200 MHz).
-///
-/// With [`MAX_SIM_CYCLES`] it keeps every cycle addition far from
-/// wrapping: the machine stops within one event of `max_cycles`, and
-/// the longest event, a backup of every block of two 4 GiB caches, is
-/// under 2^53 cycles. It also bounds the host work of one event, which
-/// walks the power trace sample by sample.
-const MAX_EVENT_CYCLES: u64 = 1 << 24;
-
-/// Upper bound on `max_cycles` (2^62, far beyond any real run).
-const MAX_SIM_CYCLES: u64 = 1 << 62;
-
-/// Upper bound on prefetch-buffer entries. The buffer is a small fully
-/// associative array (Table 1: 4 entries, Fig. 17 sweeps 2–8) allocated
-/// up front, so a huge count would abort on allocation instead of
-/// failing here.
-const MAX_PREFETCH_BUFFER_ENTRIES: usize = 1024;
 
 /// Which caches IPEX (or another throttling policy) throttles — the
 /// paper's three comparison points.
@@ -284,91 +264,11 @@ impl SimConfigBuilder {
                 policy.kind_name()
             ));
         }
-        for (name, c) in [("icache", &cfg.icache), ("dcache", &cfg.dcache)] {
-            if c.size_bytes < BLOCK_SIZE {
-                problems.push(format!("{name}: smaller than one {BLOCK_SIZE}-byte block"));
-            } else if c.assoc == 0 {
-                problems.push(format!("{name}: associativity must be at least 1"));
-            } else if BLOCK_SIZE
-                .checked_mul(c.assoc)
-                .is_none_or(|way_bytes| !c.size_bytes.is_multiple_of(way_bytes))
-            {
-                problems.push(format!(
-                    "{name}: capacity must be a multiple of assoc * block size"
-                ));
-            } else if !c.num_sets().is_power_of_two() {
-                problems.push(format!(
-                    "{name}: number of sets must be a power of two (got {})",
-                    c.num_sets()
-                ));
-            }
-        }
-        if !(1..=MAX_PREFETCH_BUFFER_ENTRIES).contains(&cfg.prefetch_buffer_entries) {
-            problems.push(format!(
-                "prefetch_buffer_entries: must be 1..={MAX_PREFETCH_BUFFER_ENTRIES}"
-            ));
-        }
-        if !(1..=MAX_DEGREE).contains(&cfg.prefetch_degree) {
-            problems.push(format!("prefetch_degree: must be 1..={MAX_DEGREE}"));
-        }
-        if !(1..=MAX_SIM_CYCLES).contains(&cfg.max_cycles) {
-            problems.push(format!("max_cycles: must be 1..={MAX_SIM_CYCLES}"));
-        }
-        if cfg
-            .latencies
-            .iter()
-            .any(|l| !(1..=MAX_EVENT_CYCLES).contains(l))
-        {
-            problems.push(format!(
-                "latencies: every instruction class takes 1..={MAX_EVENT_CYCLES} cycles"
-            ));
-        }
-        for (name, cycles) in [
-            ("nvm.read_cycles", cfg.nvm.read_cycles),
-            ("nvm.write_cycles", cfg.nvm.write_cycles),
-            ("restore_cycles", cfg.restore_cycles),
-            ("backup_base_cycles", cfg.backup_base_cycles),
-        ] {
-            if cycles > MAX_EVENT_CYCLES {
-                problems.push(format!("{name}: at most {MAX_EVENT_CYCLES} cycles"));
-            }
-        }
-        let (e, nvm) = (&cfg.energy, &cfg.nvm);
-        for (name, value) in [
-            ("energy.cache_access_nj", e.cache_access_nj),
-            ("energy.cache_leak_mw_per_2kb", e.cache_leak_mw_per_2kb),
-            ("energy.core_leak_mw", e.core_leak_mw),
-            ("energy.compute.alu_nj", e.compute.alu_nj),
-            ("energy.compute.mul_nj", e.compute.mul_nj),
-            ("energy.compute.div_nj", e.compute.div_nj),
-            ("energy.compute.mem_nj", e.compute.mem_nj),
-            ("energy.nvff_store_nj_per_bit", e.nvff_store_nj_per_bit),
-            ("energy.nvff_restore_nj_per_bit", e.nvff_restore_nj_per_bit),
-            ("nvm.read_nj", nvm.read_nj),
-            ("nvm.write_nj", nvm.write_nj),
-            ("nvm.leak_mw", nvm.leak_mw),
-            ("nvm.active_leak_fraction", nvm.active_leak_fraction),
-        ] {
-            // Written so NaN fails: every comparison with NaN is false.
-            if !(value >= 0.0 && value.is_finite()) {
-                problems.push(format!("{name}: must be finite and non-negative"));
-            }
-        }
-        let cap = &cfg.capacitor;
-        // Written so NaN fails: every comparison with NaN is false.
-        if !(cap.capacitance_uf > 0.0 && cap.capacitance_uf.is_finite()) {
-            problems.push("capacitor: capacitance must be positive and finite".to_owned());
-        }
-        if !(cap.v_min < cap.v_backup
-            && cap.v_backup < cap.v_on
-            && cap.v_on <= cap.v_max
-            && cap.v_max.is_finite())
-        {
-            problems.push(
-                "capacitor: voltage levels must be finite and satisfy \
-                 v_min < v_backup < v_on <= v_max"
-                    .to_owned(),
-            );
+        // The rules on the values themselves; the mode policies are
+        // still the default `Conventional` here, so `policy` is checked
+        // once, above.
+        if let Err(ConfigError(e)) = cfg.validate() {
+            problems.push(e);
         }
         if !problems.is_empty() {
             return Err(ConfigError(problems.join("; ")));
@@ -403,6 +303,8 @@ impl SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{MAX_EVENT_CYCLES, MAX_SIM_CYCLES};
+    use ehs_prefetch::MAX_DEGREE;
 
     #[test]
     fn default_build_is_the_baseline() {

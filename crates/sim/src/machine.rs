@@ -15,6 +15,10 @@ use crate::snapshot::{self, Phase, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::trace::{EventCounts, PathId, SimEvent, TraceSink, Tracer};
 use crate::{SimConfig, SimResult, SimStats};
 
+/// `last_fetch_block` value meaning "no fetch since the last power
+/// loss": blocks are 16-byte aligned, so no block equals it.
+const NO_BLOCK: u32 = u32::MAX;
+
 /// Volatile register state checkpointed to NVFFs on every outage:
 /// 16 × 32-bit registers plus the 32-bit PC. Each path's throttling
 /// policy adds its own [`AnyPolicy::nvff_bits`] on top (64 for IPEX's
@@ -159,22 +163,35 @@ pub struct Machine {
     nj_by_class: [f64; ExecClass::COUNT],
     /// Safe energy band for batched voltage observation: while the
     /// capacitor's stored energy stays strictly inside
-    /// `(vwin_lo_nj, vwin_hi_nj)`, no IPEX threshold nor the backup
-    /// trigger can cross, so the per-instruction voltage observation is
-    /// provably a no-op and is skipped. Derived state (never
-    /// snapshotted); an invalid band (`lo > hi`) forces the next
-    /// instruction down the exact legacy observe path, which recomputes
+    /// `(vwin_lo_nj, vwin_hi_nj)`, no policy threshold nor the backup
+    /// trigger can cross, so the per-instruction voltage observation
+    /// may be skipped for up to `vspan_left` more instructions. Derived
+    /// state (never snapshotted); an invalid band (`lo > hi`) forces the
+    /// next instruction down the exact observe path, which recomputes
     /// it. See [`Machine::recompute_voltage_window`].
     vwin_lo_nj: f64,
     vwin_hi_nj: f64,
-    /// Verification hook: `true` pins the band invalid so every
-    /// instruction performs the full legacy observation sequence.
+    /// Observations the policies can still absorb unread in the current
+    /// span ([`AnyPolicy::skippable_observations`] at the last real
+    /// observation, counted down by every skipped one).
+    vspan_left: u64,
+    /// `vspan_left` when the policies were last brought up to date:
+    /// `vspan_len - vspan_left` skipped observations are still owed to
+    /// them (see [`Machine::settle_skipped_observations`]).
+    vspan_len: u64,
+    /// Verification hook: `true` pins the band invalid and the span
+    /// empty, so every instruction performs the full observation
+    /// sequence.
     vwin_forced_off: bool,
-    /// `true` when either path's throttling policy accumulates state on
-    /// every observation ([`AnyPolicy::batched_observation_safe`] is
-    /// `false`), in which case batching would change results and the
-    /// exact per-instruction path is mandatory, not a hook.
-    vwin_policy_exact: bool,
+    /// Block of the previous instruction fetch since the last power
+    /// loss ([`NO_BLOCK`] if none). That block is resident in the
+    /// ICache, and every instruction prefetcher ignores a repeat hit on
+    /// it, so a fetch from it skips the prefetcher probe. Derived state,
+    /// never snapshotted.
+    last_fetch_block: u32,
+    /// Test reference: `true` sends every fetch down the full path.
+    #[cfg(test)]
+    full_fetch_path: bool,
     /// Cached power-trace sample: harvesting proceeds at `hspan_rate`
     /// nJ/cycle over cycles `[hspan_start, hspan_end)`. Spares the hot
     /// loop a div+mod per instruction; spans outside the cached sample
@@ -229,8 +246,6 @@ impl Machine {
         };
         let ipath = build_path(&cfg.inst_mode, true);
         let dpath = build_path(&cfg.data_mode, false);
-        let vwin_policy_exact = !ipath.throttle.batched_observation_safe()
-            || !dpath.throttle.batched_observation_safe();
         let interp = Interpreter::with_mem_size(program, cfg.nvm.size_bytes as usize);
         // NVM standby power is gated: being nonvolatile, the array and
         // its periphery are powered only during transfers (charged per
@@ -274,12 +289,16 @@ impl Machine {
             phase: Phase::Run,
             lat_by_class,
             nj_by_class,
-            // Invalid band: the first instruction takes the full legacy
+            // Invalid band: the first instruction takes the full
             // observe path, which computes the real band.
             vwin_lo_nj: f64::INFINITY,
             vwin_hi_nj: f64::NEG_INFINITY,
+            vspan_left: 0,
+            vspan_len: 0,
             vwin_forced_off: false,
-            vwin_policy_exact,
+            last_fetch_block: NO_BLOCK,
+            #[cfg(test)]
+            full_fetch_path: false,
             hspan_start: 0,
             hspan_end: 0,
             hspan_rate: 0.0,
@@ -288,13 +307,17 @@ impl Machine {
     }
 
     /// Verification/benchmark hook: `true` disables voltage-observation
-    /// batching, reproducing the legacy per-instruction observe
-    /// sequence exactly. Results must be bit-identical either way
-    /// (regression-tested); default `false`.
+    /// batching (both the energy band and the policies' skippable
+    /// spans), so every instruction reads the voltage and feeds it to
+    /// both policies. Results, events and snapshots must be
+    /// bit-identical either way (regression-tested); default `false`.
     pub fn set_exhaustive_voltage_checks(&mut self, on: bool) {
+        self.settle_skipped_observations();
         self.vwin_forced_off = on;
         self.vwin_lo_nj = f64::INFINITY;
         self.vwin_hi_nj = f64::NEG_INFINITY;
+        self.vspan_left = 0;
+        self.vspan_len = 0;
     }
 
     /// Verification/benchmark hook: disables (or re-enables) the
@@ -480,6 +503,8 @@ impl Machine {
                 }
             }
         };
+        // Snapshots, results and the next leg see every observation.
+        self.settle_skipped_observations();
         if let Ok(true) = outcome {
             // The final (still-running) power cycle gets its rollup too.
             self.emit_power_cycle_summary();
@@ -567,7 +592,8 @@ impl Machine {
     ///
     /// [`SnapshotError`] when the snapshot's version, program, trace, or
     /// any state component does not match this build / the supplied
-    /// inputs, or when its NVM is too small to hold `program`.
+    /// inputs, when its configuration fails [`SimConfig::validate`], or
+    /// when its NVM is too small to hold `program`.
     pub fn resume(
         snap: &Snapshot,
         program: &Program,
@@ -582,6 +608,11 @@ impl Machine {
             Cow::Owned(snap.clone().migrate()?)
         };
         debug_assert_eq!(snap.version, SNAPSHOT_VERSION);
+        // A snapshot's configuration is outside input: it passes the
+        // builder's rules before anything is built from it.
+        snap.cfg
+            .validate()
+            .map_err(|e| SnapshotError::State(format!("cfg: {e}")))?;
         // Building the machine loads the program, which panics on a
         // memory too small to hold it.
         let nvm_bytes = snap.cfg.nvm.size_bytes;
@@ -691,16 +722,21 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn step_instruction(&mut self) -> Result<(), SimError> {
-        // Voltage monitor: IPEX threshold crossings (possibly reissuing
-        // throttled prefetches, §5.1 extension) and the backup trigger.
-        // Batched over the safe energy band: strictly inside
-        // `(vwin_lo_nj, vwin_hi_nj)` the observation sequence below is
-        // provably a no-op (every threshold comparison lands in the same
-        // band it did when the band was computed), so it is skipped.
-        // The comparison is written so an invalid band (lo > hi, the
-        // NaN-free "recompute me" state) always takes the slow path.
+        // Voltage monitor: policy threshold crossings (possibly
+        // reissuing throttled prefetches, §5.1 extension) and the backup
+        // trigger. Batched over the safe energy band and the policies'
+        // skippable span: strictly inside `(vwin_lo_nj, vwin_hi_nj)`
+        // every threshold comparison lands in the same band it did when
+        // the band was computed, and the policies can absorb
+        // `vspan_left` more observations unread, so the sequence below
+        // is skipped and only counted. The comparison is written so an
+        // invalid band (lo > hi, the NaN-free "recompute me" state)
+        // always takes the slow path.
         let e = self.cap.energy_nj();
-        if !(e > self.vwin_lo_nj && e < self.vwin_hi_nj) {
+        if e > self.vwin_lo_nj && e < self.vwin_hi_nj && self.vspan_left > 0 {
+            self.vspan_left -= 1;
+        } else {
+            self.settle_skipped_observations();
             let v = self.cap.voltage();
             self.observe_voltage(true, v);
             self.observe_voltage(false, v);
@@ -715,7 +751,16 @@ impl Machine {
 
         // Instruction fetch through the ICache.
         let pc = self.interp.pc();
-        let fetch_cycles = self.mem_access::<true>(pc, pc, false);
+        let block = block_of(pc);
+        let same_block = block == self.last_fetch_block;
+        #[cfg(test)]
+        let same_block = same_block && !self.full_fetch_path;
+        let fetch_cycles = if same_block {
+            self.fetch_resident(pc)
+        } else {
+            self.last_fetch_block = block;
+            self.mem_access::<true>(pc, pc, false)
+        };
 
         // Execute (functional; the pre-decoded step carries its class).
         let step = self.interp.step()?;
@@ -737,6 +782,38 @@ impl Machine {
         self.stats.instructions += 1;
         self.advance_on(fetch_cycles + exec_cycles + mem_cycles);
         Ok(())
+    }
+
+    /// A fetch from the block fetched just before, with no power loss
+    /// in between: the block is resident (the previous fetch hit,
+    /// promoted or filled it, and only a fetch or a power loss changes
+    /// the ICache), and every instruction prefetcher ignores a hit on
+    /// the block it last saw (sequential dedupes on its last trigger
+    /// block; Markov and TIFS train on misses only), so the prefetcher
+    /// probe, throttle filter and issue loop of [`Machine::mem_access`]
+    /// would all be no-ops. What remains is the cache probe itself, with
+    /// the same energy adds in the same order.
+    #[inline]
+    fn fetch_resident(&mut self, pc: u32) -> u64 {
+        let access_nj = self.cfg.energy.cache_access_nj;
+        self.energy.cache_nj += access_nj;
+        self.pending_draw_nj += access_nj;
+        let hit = self.ipath.cache.access(pc, false);
+        debug_assert!(hit, "same-block fetch of {pc:#x} missed the ICache");
+        1
+    }
+
+    /// Hands the observations skipped since the policies were last
+    /// brought up to date to both of them, so their state is exactly
+    /// what per-instruction observation would have left. Runs before
+    /// every real observation and at the end of every `run_until`.
+    fn settle_skipped_observations(&mut self) {
+        let owed = self.vspan_len - self.vspan_left;
+        if owed > 0 {
+            self.ipath.throttle.skip_observations(owed);
+            self.dpath.throttle.skip_observations(owed);
+            self.vspan_len = self.vspan_left;
+        }
     }
 
     /// Feeds the capacitor voltage to one path's IPEX controller,
@@ -806,10 +883,15 @@ impl Machine {
         }
     }
 
-    /// Recomputes the safe energy band for batched voltage observation.
+    /// Recomputes the skippable span and the safe energy band for
+    /// batched voltage observation.
     ///
     /// Called only immediately after a real observation pass, so each
-    /// controller's level agrees with the current voltage. The band's
+    /// controller's level agrees with the current voltage. The span is
+    /// the smaller of the two policies'
+    /// [`AnyPolicy::skippable_observations`]; when it is empty (a
+    /// hysteresis policy folds every reading) the band is not needed,
+    /// since the next instruction observes for real anyway. The band's
     /// edges are the capacitor energies of every voltage the step
     /// sequence compares against — the backup trigger plus both
     /// throttles' threshold ladders — split into those below and above
@@ -825,7 +907,17 @@ impl Machine {
     /// (one sqrt + two multiplies); energies inside the margin zone
     /// conservatively take the exact legacy path.
     fn recompute_voltage_window(&mut self) {
-        if self.vwin_forced_off || self.vwin_policy_exact {
+        if self.vwin_forced_off {
+            return;
+        }
+        let span = self
+            .ipath
+            .throttle
+            .skippable_observations()
+            .min(self.dpath.throttle.skippable_observations());
+        self.vspan_left = span;
+        self.vspan_len = span;
+        if span == 0 {
             return;
         }
         const MARGIN: f64 = 1e-9;
@@ -1102,6 +1194,7 @@ impl Machine {
         };
         let lost_i = self.ipath.power_loss();
         let lost_d = self.dpath.power_loss();
+        self.last_fetch_block = NO_BLOCK;
         let loss_cycle = self.cycle;
         for (lost, pid) in [(lost_i, PathId::Inst), (lost_d, PathId::Data)] {
             if lost > 0 {
@@ -1730,25 +1823,86 @@ mod tests {
         }
     }
 
-    /// The batched voltage window must stay an observation *schedule*
-    /// for policies that forbid it: machines driven by a
-    /// non-threshold policy (EWMA state per observation) already run
-    /// exact, so forcing exhaustive checks changes nothing.
+    /// Skipped observations are an observation *schedule*, also for the
+    /// policies that bound or forbid skipping: predictive reads the
+    /// voltage once per sample period and hysteresis folds every
+    /// reading. Under weak power a batched run must equal an exhaustive
+    /// one in its result, its event stream, and its snapshots at pauses
+    /// that land inside a skipped span (so the owed observations must be
+    /// settled before `run_until` returns).
     #[test]
     fn exhaustive_checks_are_identity_for_non_batchable_policies() {
-        use ipex::{HysteresisConfig, PolicyConfig};
-        let run = |exhaustive: bool| {
-            let cfg = SimConfig::builder()
-                .throttle_policy(
-                    Ipex::Both,
-                    PolicyConfig::Hysteresis(HysteresisConfig::paper_default()),
-                )
-                .build();
-            let mut m = Machine::with_trace(cfg, &tiny_program(), PowerTrace::constant_mw(2.0, 16));
-            m.set_exhaustive_voltage_checks(exhaustive);
-            m.run().unwrap()
-        };
-        assert_eq!(run(false), run(true));
+        use crate::trace::CountingSink;
+        use ipex::{HysteresisConfig, PolicyConfig, PredictiveConfig};
+        let program = tiny_program();
+        let trace = PowerTrace::constant_mw(2.0, 16);
+        for pc in [
+            PolicyConfig::Predictive(PredictiveConfig::paper_default()),
+            PolicyConfig::Hysteresis(HysteresisConfig::paper_default()),
+        ] {
+            let run = |exhaustive: bool| {
+                let cfg = SimConfig::builder().throttle_policy(Ipex::Both, pc).build();
+                let mut m = Machine::with_trace(cfg, &program, trace.clone());
+                m.set_exhaustive_voltage_checks(exhaustive);
+                let sink = CountingSink::new();
+                m.set_trace_sink(Box::new(sink.clone()));
+                let mut snaps = Vec::new();
+                let mut paused_running = false;
+                for target in [7_001, 23_456, 41_003, 60_017] {
+                    assert!(matches!(m.run_until(target).unwrap(), RunStatus::Paused));
+                    paused_running |= m.phase() == Phase::Run;
+                    snaps.push(m.snapshot(&program).to_json());
+                }
+                assert!(paused_running, "no pause landed while running");
+                let r = m.run().unwrap();
+                assert!(r.stats.power_cycles > 1, "expected outages");
+                (r, sink.counts(), snaps)
+            };
+            let (batched, exact) = (run(false), run(true));
+            let kind = pc.kind_name();
+            assert_eq!(batched.0, exact.0, "{kind}: results differ");
+            assert_eq!(batched.1, exact.1, "{kind}: event counts differ");
+            for (i, (b, e)) in batched.2.iter().zip(&exact.2).enumerate() {
+                assert!(b == e, "{kind}: snapshot at pause {i} differs");
+            }
+        }
+    }
+
+    /// The same-block fetch fast path skips only work whose outcome is
+    /// known. Against the full path for every fetch, each instruction
+    /// prefetcher gives the same result, events and final state, under
+    /// steady power and under weak power, whose outages mostly land in
+    /// mid-block (the first fetch after a reboot must not take the fast
+    /// path: the ICache was wiped).
+    #[test]
+    fn same_block_fetch_fast_path_matches_full_path() {
+        use ehs_prefetch::InstPrefetcherKind;
+        let program = tiny_program();
+        for kind in [
+            InstPrefetcherKind::None,
+            InstPrefetcherKind::Sequential,
+            InstPrefetcherKind::Markov,
+            InstPrefetcherKind::Tifs,
+        ] {
+            for mw in [50.0, 2.0] {
+                let run = |full: bool| {
+                    let cfg = SimConfig::builder()
+                        .ipex(Ipex::Both)
+                        .inst_prefetcher(kind)
+                        .trace_mode(crate::TraceMode::Counting)
+                        .build();
+                    let mut m = Machine::with_trace(cfg, &program, PowerTrace::constant_mw(mw, 16));
+                    m.full_fetch_path = full;
+                    let r = m.run().unwrap();
+                    (r, *m.trace_counts(), m.state_digest(&program))
+                };
+                let (fast, full) = (run(false), run(true));
+                assert_eq!(fast.0, full.0, "{kind:?} at {mw} mW: results differ");
+                assert_eq!(fast.1, full.1, "{kind:?} at {mw} mW: events differ");
+                assert_eq!(fast.2, full.2, "{kind:?} at {mw} mW: state differs");
+                assert_eq!(fast.0.stats.power_cycles > 1, mw < 10.0);
+            }
+        }
     }
 
     /// Snapshots taken by a policy-driven machine round-trip exactly,
