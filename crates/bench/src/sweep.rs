@@ -34,7 +34,6 @@ use ehs_energy::{PowerTrace, TraceSpec};
 use ehs_isa::Program;
 use ehs_sim::canon;
 use ehs_sim::prelude::*;
-use ehs_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
 /// Version salt folded into every [`PointKey`].
@@ -307,20 +306,8 @@ impl Sweep {
     /// any simulation failure (an experiment configuration that cannot
     /// finish is a harness bug).
     pub fn suite(&self, cfg: &SimConfig, trace: &TraceSpec) -> BTreeMap<&'static str, SimResult> {
-        self.suite_filtered(cfg, trace, |_| true)
-    }
-
-    /// [`Sweep::suite`] restricted to the workloads accepted by
-    /// `filter`.
-    pub fn suite_filtered(
-        &self,
-        cfg: &SimConfig,
-        trace: &TraceSpec,
-        filter: impl Fn(&Workload) -> bool,
-    ) -> BTreeMap<&'static str, SimResult> {
         let points: Vec<SimPoint> = ehs_workloads::SUITE
             .iter()
-            .filter(|w| filter(w))
             .map(|w| SimPoint::new(w.name(), cfg.clone(), trace.clone()))
             .collect();
         let results = self.request(points.clone()).wait();

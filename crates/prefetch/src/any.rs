@@ -4,9 +4,8 @@
 //! demand access. Through a `Box<dyn Prefetcher>` that is an indirect
 //! call the compiler cannot inline; [`AnyPrefetcher`] replaces it with
 //! a direct match over the eight concrete kinds, which inlines and
-//! branch-predicts (the kind never changes within a run). The
-//! `dispatch` micro-benchmark in `ehs-bench` measures the difference —
-//! see DESIGN.md §8.
+//! branch-predicts (the kind never changes within a run). DESIGN.md §8
+//! records the difference measured when the enum replaced the box.
 //!
 //! Behaviour is delegated verbatim, so an `AnyPrefetcher` is
 //! observationally identical to the boxed prefetcher of the same kind.

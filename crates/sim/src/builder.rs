@@ -395,7 +395,7 @@ mod tests {
     }
 
     /// Each of these passed `try_build` and then failed: a panic in
-    /// `Machine::new` (degree 64, NaN capacitance), an `unreachable!`
+    /// `Machine::with_trace` (degree 64, NaN capacitance), an `unreachable!`
     /// in `Machine::run` (a backup window reaching `u64::MAX`), or a
     /// silently wrapped cycle counter (latency `u64::MAX`).
     #[test]
@@ -487,7 +487,7 @@ mod tests {
 
     /// Every constraint `IpexConfig::validate` enforces surfaces as a
     /// `ConfigError` naming the `ipex` policy at build time, instead of
-    /// a panic later in `Machine::new`.
+    /// a panic later in `Machine::with_trace`.
     #[test]
     fn invalid_ipex_configs_are_rejected_at_build_time() {
         let ok = IpexConfig::paper_default();

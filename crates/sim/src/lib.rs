@@ -25,7 +25,8 @@
 //! use ehs_sim::{Machine, SimConfig};
 //!
 //! let workload = ehs_workloads::by_name("fft").unwrap();
-//! let mut machine = Machine::new(SimConfig::builder().build(), &workload.program());
+//! let cfg = SimConfig::builder().build();
+//! let mut machine = Machine::with_trace(cfg, &workload.program(), SimConfig::default_trace());
 //! let result = machine.run().expect("completes within the cycle budget");
 //! println!("cycles: {}", result.stats.total_cycles);
 //! ```

@@ -77,7 +77,7 @@ struct MemPath {
     buf: PrefetchBuffer,
     /// Enum-dispatched so the per-access `observe` call in the hot loop
     /// inlines instead of going through a vtable (see `ehs-prefetch`'s
-    /// `any` module and the `dispatch` micro-benchmark).
+    /// `any` module and DESIGN.md §8).
     pf: AnyPrefetcher,
     throttle: AnyPolicy,
 }
@@ -127,8 +127,9 @@ pub struct CycleMark {
 
 /// The simulated energy-harvesting system.
 ///
-/// Construct with [`Machine::new`] (default synthetic RFHome trace) or
-/// [`Machine::with_trace`], then call [`Machine::run`].
+/// Construct with [`Machine::with_trace`] (pass
+/// [`SimConfig::default_trace`] for the standard synthetic RFHome
+/// trace), then call [`Machine::run`].
 pub struct Machine {
     cfg: SimConfig,
     interp: Interpreter,
@@ -204,23 +205,13 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds a machine over `program` with the standard synthetic
-    /// RFHome trace ([`SimConfig::default_trace`]).
+    /// Builds a machine over `program` powered by `trace`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is internally inconsistent (invalid
     /// cache geometry, zero-entry prefetch buffer, bad capacitor
     /// ordering).
-    pub fn new(cfg: SimConfig, program: &Program) -> Machine {
-        Machine::with_trace(cfg, program, SimConfig::default_trace())
-    }
-
-    /// Builds a machine with an explicit power trace.
-    ///
-    /// # Panics
-    ///
-    /// See [`Machine::new`].
     pub fn with_trace(cfg: SimConfig, program: &Program, trace: PowerTrace) -> Machine {
         let build_path = |mode: &PrefetchMode, is_inst: bool| -> MemPath {
             let pf = match mode {

@@ -12,9 +12,9 @@
 //! Tracing is off by default and designed to vanish: every emission site
 //! goes through [`Tracer::emit_with`], which takes a *closure* building
 //! the event. When tracing is disabled the closure is never called, so
-//! the disabled path is a single predictable branch — the
-//! `trace/machine_run` micro-benchmark in `ehs-bench` pins this at <2%
-//! of a full machine run.
+//! the disabled path is a single predictable branch. Every throughput
+//! figure the repository records (`core_bench`, the benchmark package)
+//! runs with tracing off, so that branch is inside their numbers.
 //!
 //! # Sinks
 //!
