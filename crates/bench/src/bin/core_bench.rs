@@ -21,9 +21,13 @@
 //! reference computation, and a pass's time, less its chunks, is scaled
 //! by their mean to seconds at the reference speed
 //! ([`reference::scaled_s`]), so a slow host and a slow build read
-//! differently. The median and quartiles of the scaled throughput, the
-//! host's fingerprint and the fastest pass's raw numbers are appended
-//! to `BENCH_core.json` with the same atomic append discipline as
+//! differently. After the timed passes, one more pass runs every point
+//! with the event tracer counting ([`TraceMode::Counting`]); its scaled
+//! rate shows what enabled tracing costs and is not gated, but its
+//! result digest must equal the untraced one. The median and quartiles
+//! of the scaled throughput, the traced pass's scaled rate, the host's
+//! fingerprint and the fastest pass's raw numbers are appended to
+//! `BENCH_core.json` with the same atomic append discipline as
 //! `BENCH_sweep.json`.
 //!
 //! Every record carries an FNV-1a digest of the canonical JSON of all
@@ -52,12 +56,13 @@ use serde::{Deserialize, Serialize};
 /// fraction of the baseline (a >20% regression).
 const BAR: f64 = 0.8;
 
-/// The fields records written before the reference scaling lack; they
-/// read as `None`.
-const SCALED_FIELDS: [&str; 5] = [
+/// The fields records written before the reference scaling or the
+/// traced pass lack; they read as `None`.
+const OPTIONAL_FIELDS: [&str; 6] = [
     "scaled_cycles_per_sec",
     "scaled_cycles_per_sec_q1",
     "scaled_cycles_per_sec_q3",
+    "traced_scaled_cycles_per_sec",
     "nproc",
     "cpu_model",
 ];
@@ -93,6 +98,9 @@ struct CoreRecord {
     scaled_cycles_per_sec_q1: Option<f64>,
     /// Upper quartile of the passes' scaled throughput.
     scaled_cycles_per_sec_q3: Option<f64>,
+    /// Scaled throughput of the one pass run with
+    /// [`TraceMode::Counting`]; shown, not gated.
+    traced_scaled_cycles_per_sec: Option<f64>,
     /// CPUs available to the run: with `cpu_model`, the host fingerprint.
     nproc: Option<u64>,
     /// The host's CPU model name.
@@ -124,7 +132,7 @@ fn parse_records(text: &str) -> Vec<CoreRecord> {
             let serde::Content::Map(mut m) = c else {
                 return None;
             };
-            for f in SCALED_FIELDS {
+            for f in OPTIONAL_FIELDS {
                 if !m.iter().any(|(k, _)| k == f) {
                     m.push((f.to_owned(), serde::Content::Null));
                 }
@@ -235,11 +243,12 @@ struct Pass {
     digest: u64,
 }
 
-/// Runs the points in order, each after one reference chunk, as the
-/// benchmark package's `engine_suite` does.
+/// Runs the points in order under trace `mode`, each after one
+/// reference chunk, as the benchmark package's `engine_suite` does.
 fn run_pass(
     points: &[(&str, &Program, SimConfig)],
     trace: &PowerTrace,
+    mode: &TraceMode,
     reference: &mut Reference,
 ) -> Pass {
     let mut chunks_s = 0.0;
@@ -250,7 +259,8 @@ fn run_pass(
     let t0 = Instant::now();
     for (name, program, cfg) in points {
         chunks_s += reference.chunk();
-        let mut machine = Machine::with_trace(cfg.clone(), program, trace.clone());
+        let run_cfg = cfg.clone().with_trace_mode(mode.clone());
+        let mut machine = Machine::with_trace(run_cfg, program, trace.clone());
         let r = ehs_bench::expect_ok(name, cfg, machine.run());
         cycles += r.stats.total_cycles;
         instructions += r.stats.instructions;
@@ -312,7 +322,7 @@ fn main() {
 
     let mut runs: Vec<Pass> = Vec::new();
     for p in 0..passes {
-        let pass = run_pass(&points, &trace, &mut reference);
+        let pass = run_pass(&points, &trace, &TraceMode::Off, &mut reference);
         println!(
             "[core_bench] pass {}/{}: {:.2}s raw, {:.2}s scaled → {:.2}M cycles/s scaled",
             p + 1,
@@ -335,6 +345,13 @@ fn main() {
         .iter()
         .min_by(|a, b| a.raw_s.total_cmp(&b.raw_s))
         .expect("at least one pass");
+
+    // What enabled tracing costs, shown but not gated: one more pass
+    // with the event tracer counting. Tracing only observes, so the
+    // results must not change.
+    let traced = run_pass(&points, &trace, &TraceMode::Counting, &mut reference);
+    assert_eq!(traced.digest, fastest.digest, "tracing changed the results");
+    let traced_rate = traced.cycles as f64 / traced.scaled_s;
     let record = CoreRecord {
         unix_ms: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -352,15 +369,19 @@ fn main() {
         scaled_cycles_per_sec: Some(summary.median),
         scaled_cycles_per_sec_q1: Some(summary.q1),
         scaled_cycles_per_sec_q3: Some(summary.q3),
+        traced_scaled_cycles_per_sec: Some(traced_rate),
         nproc: Some(host.nproc as u64),
         cpu_model: Some(host.cpu_model),
     };
     println!(
-        "[core_bench] scaled median {:.2}M cycles/s [q1 {:.2}, q3 {:.2}]; fastest raw \
-         pass {:.2}s → {:.2}M cycles/s, {:.2}M instr/s; digest {}",
+        "[core_bench] scaled median {:.2}M cycles/s [q1 {:.2}, q3 {:.2}]; traced pass \
+         (TraceMode::Counting) {:.2}M, {:.3}x the median; fastest raw pass {:.2}s → \
+         {:.2}M cycles/s, {:.2}M instr/s; digest {}",
         summary.median / 1e6,
         summary.q1 / 1e6,
         summary.q3 / 1e6,
+        traced_rate / 1e6,
+        traced_rate / summary.median,
         fastest.raw_s,
         record.cycles_per_sec / 1e6,
         record.instr_per_sec / 1e6,
@@ -409,6 +430,7 @@ mod tests {
             scaled_cycles_per_sec: scaled,
             scaled_cycles_per_sec_q1: scaled,
             scaled_cycles_per_sec_q3: scaled,
+            traced_scaled_cycles_per_sec: scaled,
             nproc: scaled.map(|_| 2),
             cpu_model: scaled.map(|_| cpu.to_owned()),
         }
@@ -423,6 +445,7 @@ mod tests {
         let prior = parse_records(text);
         assert_eq!(prior.len(), 1, "a legacy record parses");
         assert_eq!(prior[0].scaled_cycles_per_sec, None);
+        assert_eq!(prior[0].traced_scaled_cycles_per_sec, None);
         assert_eq!(prior[0].fingerprint(), None);
         let (note, failures) = check(&prior, &rec(Some(1.0), "a"));
         assert!(failures.is_empty(), "{failures:?}");
@@ -435,7 +458,21 @@ mod tests {
         let back = parse_records(&text);
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].scaled_cycles_per_sec, Some(8e7));
+        assert_eq!(back[0].traced_scaled_cycles_per_sec, Some(8e7));
         assert_eq!(back[0].fingerprint(), Some((2, "cpu a")));
+    }
+
+    /// Every committed record parses, those from before the traced pass
+    /// included.
+    #[test]
+    fn the_committed_log_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let n = match serde_json::from_str::<serde::Content>(&text) {
+            Ok(serde::Content::Seq(records)) => records.len(),
+            _ => panic!("BENCH_core.json is not a JSON array"),
+        };
+        assert_eq!(parse_records(&text).len(), n);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //!   --only fig10,tab2        render only the listed figures (short or file ids)
 //!   --no-cache               don't read or write results/.cache
-//!   --jobs N                 worker-pool width (default: EHS_SWEEP_JOBS env
-//!                            var if set, else available parallelism)
+//!   --jobs N                 worker-pool width (default: available
+//!                            parallelism)
 //!   --checkpoint-every N     crash-checkpoint in-flight simulations every N
 //!                            simulated cycles (default 250000000; 0 disables)
 //!   --stats                  Monte Carlo mode: seed-sweep every headline of
@@ -40,7 +40,8 @@ use ehs_bench::sweep::{CheckpointPolicy, Sweep, SweepOptions};
 use serde::Serialize;
 
 /// One appended measurement in `BENCH_sweep.json`. Older entries may
-/// carry fields this record no longer has (`slices`, `sampled`);
+/// carry fields this record no longer has (`slices`, `sampled`,
+/// `in_flight_waits`);
 /// [`ehs_bench::append_record`] keeps them as they were written.
 #[derive(Serialize)]
 struct BenchRecord {
@@ -54,7 +55,6 @@ struct BenchRecord {
     simulated: u64,
     disk_hits: u64,
     memo_hits: u64,
-    in_flight_waits: u64,
     checkpoint_every_cycles: u64,
     resumed: u64,
     /// Cycles simulated in-process. `None` (JSON `null`) marks records
@@ -246,7 +246,6 @@ fn main() {
         simulated: stats.simulated,
         disk_hits: stats.disk_hits,
         memo_hits: stats.memo_hits,
-        in_flight_waits: stats.in_flight_waits,
         checkpoint_every_cycles: checkpoint_every,
         resumed: stats.resumed,
         cycles_simulated: Some(stats.cycles_simulated),

@@ -14,9 +14,10 @@
 //!   field order and construction path cannot perturb it.
 //! * [`Sweep`] is the engine: an in-memory memo store, an optional
 //!   on-disk cache (`results/.cache/<key>.json`, invalidated by bumping
-//!   the salt), in-flight deduplication so concurrent requests for the
-//!   same key run one simulation, and a bounded worker pool for misses.
-//! * [`Sweep::request`] batches any number of points into a
+//!   the salt), a bounded worker pool for misses, and a batch lock that
+//!   resolves one batch at a time, so concurrent callers never run the
+//!   same key twice.
+//! * [`Sweep::request`] checks and batches any number of points into a
 //!   [`SweepHandle`]; `wait()` resolves them all. Figures declare what
 //!   they need and automatically share every hit with every other
 //!   figure in the process.
@@ -25,10 +26,10 @@
 //! counts real machine runs; `unique()` is `simulated + disk_hits`)
 //! that the `paper` binary asserts on and records in `BENCH_sweep.json`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ehs_energy::{PowerTrace, TraceSpec};
 use ehs_isa::Program;
@@ -97,11 +98,9 @@ impl std::fmt::Display for PointKey {
 /// Tuning knobs for a [`Sweep`].
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Worker-pool width for simulating misses; `None` consults the
-    /// `EHS_SWEEP_JOBS` environment variable, then
-    /// [`std::thread::available_parallelism`]. The env override exists
-    /// for containers whose cgroup quota misreports the usable core
-    /// count.
+    /// Worker-pool width for simulating misses; `None` uses
+    /// [`std::thread::available_parallelism`], which honours a cgroup
+    /// CPU quota. Either is clamped to `1..=`[`MAX_JOBS`].
     pub jobs: Option<usize>,
     /// Directory for the on-disk result cache (typically
     /// `results/.cache`); `None` disables persistence entirely.
@@ -121,27 +120,9 @@ pub struct SweepOptions {
 }
 
 /// Upper bound on the worker-pool width. No real machine this harness
-/// targets has more cores; a larger request is a typo (`EHS_SWEEP_JOBS=
-/// 10000`) that would only burn memory on idle stacks.
+/// targets has more cores; a larger request is a typo (`--jobs 10000`)
+/// that would only burn memory on idle stacks.
 pub const MAX_JOBS: usize = 256;
-
-/// The `EHS_SWEEP_JOBS` override, if set to a positive integer.
-/// Anything else (unset, empty, garbage, zero) is ignored rather than
-/// erroring, and absurd widths are clamped to [`MAX_JOBS`]: the
-/// variable is an operator escape hatch, not an API.
-fn env_jobs() -> Option<usize> {
-    parse_jobs(&std::env::var("EHS_SWEEP_JOBS").unwrap_or_default())
-}
-
-/// Pure parser behind [`env_jobs`], split out so the validation rules
-/// are unit-testable without touching process environment.
-fn parse_jobs(raw: &str) -> Option<usize> {
-    raw.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
-        .map(|n| n.min(MAX_JOBS))
-}
 
 /// Where and how often in-flight simulations checkpoint.
 ///
@@ -181,9 +162,6 @@ pub struct SweepStats {
     pub disk_hits: u64,
     /// Misses that ran a real simulation.
     pub simulated: u64,
-    /// Times a request found its point already being simulated by
-    /// another in-flight batch and waited instead of re-running it.
-    pub in_flight_waits: u64,
     /// Simulations that resumed from an on-disk crash checkpoint
     /// instead of starting cold (a subset of `simulated`).
     pub resumed: u64,
@@ -202,21 +180,17 @@ impl SweepStats {
     }
 }
 
-enum Slot {
-    /// Claimed by an in-flight batch; wait on the condvar.
-    Running,
-    /// Resolved (possibly to a simulation error). Boxed so the map slot
-    /// stays pointer-sized while a point is merely claimed.
-    Done(Box<Result<SimResult, SimError>>),
-}
-
 /// The deduplicating, memoizing simulation engine. See the module docs.
 pub struct Sweep {
     jobs: usize,
     disk_cache: Option<PathBuf>,
     checkpoints: Option<CheckpointPolicy>,
-    state: Mutex<HashMap<PointKey, Slot>>,
-    ready: Condvar,
+    /// Every resolved point (possibly to a simulation error). Boxed, so
+    /// growing the map moves pointers rather than whole results.
+    state: Mutex<HashMap<PointKey, Box<Result<SimResult, SimError>>>>,
+    /// Held across [`Sweep::ensure`]: batches resolve one at a time, so
+    /// a key is never simulated by two of them.
+    batch: Mutex<()>,
     /// Materialised power traces, keyed by the spec's canonical JSON
     /// (each trace is synthesized once and shared by every point).
     traces: Mutex<HashMap<String, PowerTrace>>,
@@ -227,7 +201,6 @@ pub struct Sweep {
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
     simulated: AtomicU64,
-    in_flight_waits: AtomicU64,
     resumed: AtomicU64,
     cycles_simulated: AtomicU64,
 }
@@ -235,7 +208,7 @@ pub struct Sweep {
 impl Sweep {
     /// Builds an engine with the given options.
     pub fn new(opts: SweepOptions) -> Sweep {
-        let jobs = opts.jobs.or_else(env_jobs).unwrap_or_else(|| {
+        let jobs = opts.jobs.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
@@ -245,14 +218,13 @@ impl Sweep {
             disk_cache: opts.disk_cache,
             checkpoints: opts.checkpoints,
             state: Mutex::new(HashMap::new()),
-            ready: Condvar::new(),
+            batch: Mutex::new(()),
             traces: Mutex::new(HashMap::new()),
             programs: Mutex::new(HashMap::new()),
             requested: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
-            in_flight_waits: AtomicU64::new(0),
             resumed: AtomicU64::new(0),
             cycles_simulated: AtomicU64::new(0),
         }
@@ -265,10 +237,10 @@ impl Sweep {
     }
 
     /// The worker-pool width this engine actually uses. This is the
-    /// resolved value (explicit option, `EHS_SWEEP_JOBS`, or detected
-    /// parallelism, clamped to at least 1), so callers recording "how
-    /// many workers ran" must read it from here rather than re-deriving
-    /// it from the options they passed in.
+    /// resolved value (explicit option or detected parallelism, clamped
+    /// to `1..=MAX_JOBS`), so callers recording "how many workers ran"
+    /// must read it from here rather than re-deriving it from the
+    /// options they passed in.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -278,10 +250,18 @@ impl Sweep {
         results_dir.join(".cache")
     }
 
-    /// Registers a batch of points and returns a handle that resolves
-    /// them. Requesting is cheap; nothing is simulated until
+    /// Checks and registers a batch of points and returns a handle that
+    /// resolves them. Requesting is cheap; nothing is simulated until
     /// [`SweepHandle::wait`] (or [`Sweep::get`]) forces it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the workload and the [`ConfigError`], if any
+    /// point's configuration fails [`SimConfig::validate`]: a figure
+    /// that asks for an impossible machine is a harness bug, caught
+    /// before any point of the batch is keyed or simulated.
     pub fn request(&self, points: Vec<SimPoint>) -> SweepHandle<'_> {
+        validate_all(&points);
         self.requested
             .fetch_add(points.len() as u64, Ordering::Relaxed);
         SweepHandle {
@@ -292,13 +272,15 @@ impl Sweep {
 
     /// Resolves one point (memoized; simulates only on a true miss) and
     /// returns a clone of its result.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Sweep::request`] on an invalid configuration.
     pub fn get(&self, point: &SimPoint) -> Result<SimResult, SimError> {
-        self.ensure(std::slice::from_ref(point));
-        let state = self.state.lock().expect("sweep state poisoned");
-        match state.get(&point.key()) {
-            Some(Slot::Done(r)) => (**r).clone(),
-            _ => unreachable!("ensure() resolves every requested key"),
-        }
+        let points = std::slice::from_ref(point);
+        validate_all(points);
+        self.ensure(points);
+        self.resolved(points).pop().expect("one point")
     }
 
     /// Runs the full 20-workload suite under `cfg`/`trace` through the
@@ -326,84 +308,71 @@ impl Sweep {
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             simulated: self.simulated.load(Ordering::Relaxed),
-            in_flight_waits: self.in_flight_waits.load(Ordering::Relaxed),
             resumed: self.resumed.load(Ordering::Relaxed),
             cycles_simulated: self.cycles_simulated.load(Ordering::Relaxed),
         }
     }
 
-    /// Resolves every point in `points`: claims unclaimed keys and runs
-    /// them on the worker pool, then blocks until keys claimed by other
-    /// in-flight batches are done too.
+    /// Resolves every point in `points`, running each key that is not
+    /// resolved yet on the worker pool. One batch at a time: the batch
+    /// lock serializes concurrent callers, so a later one finds the
+    /// keys an earlier one resolved.
     fn ensure(&self, points: &[SimPoint]) {
-        // Claim phase: one pass under the lock decides, for every key,
-        // whether this batch runs it, another batch is running it, or
-        // it is already done.
+        // A panicking simulation poisons the lock but leaves no state
+        // behind it: a point is recorded only once it is resolved.
+        let _batch = self.batch.lock().unwrap_or_else(PoisonError::into_inner);
         let mut to_run: Vec<&SimPoint> = Vec::new();
         {
-            let mut state = self.state.lock().expect("sweep state poisoned");
-            let mut claimed_here: Vec<PointKey> = Vec::new();
+            let state = self.state.lock().expect("sweep state poisoned");
+            let mut batch_keys = HashSet::new();
             for p in points {
                 let key = p.key();
-                match state.get(&key) {
-                    Some(Slot::Done(_)) => {
-                        self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(Slot::Running) => {
-                        // In-flight dedup: either another batch owns it,
-                        // or this batch already claimed a duplicate.
-                        if claimed_here.contains(&key) {
-                            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            self.in_flight_waits.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    None => {
-                        state.insert(key, Slot::Running);
-                        claimed_here.push(key);
-                        to_run.push(p);
-                    }
+                if state.contains_key(&key) || !batch_keys.insert(key) {
+                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    to_run.push(p);
                 }
             }
         }
 
-        // Execution phase: bounded pool over this batch's misses.
-        if !to_run.is_empty() {
-            let workers = self.jobs.min(to_run.len());
-            if workers <= 1 {
-                for p in &to_run {
-                    self.compute_and_publish(p);
+        // Bounded pool over this batch's misses.
+        let workers = self.jobs.min(to_run.len());
+        if workers <= 1 {
+            for p in &to_run {
+                self.compute_and_publish(p);
+            }
+        } else {
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let (next, to_run) = (&next, &to_run);
+                    scope.spawn(move || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(p) = to_run.get(i) else { break };
+                        self.compute_and_publish(p);
+                    });
                 }
-            } else {
-                let next = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        let (next, to_run) = (&next, &to_run);
-                        scope.spawn(move || loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(p) = to_run.get(i) else { break };
-                            self.compute_and_publish(p);
-                        });
-                    }
-                });
-            }
-        }
-
-        // Wait phase: keys claimed by other in-flight batches.
-        let mut state = self.state.lock().expect("sweep state poisoned");
-        loop {
-            let pending = points
-                .iter()
-                .any(|p| matches!(state.get(&p.key()), Some(Slot::Running)));
-            if !pending {
-                break;
-            }
-            state = self.ready.wait(state).expect("sweep state poisoned");
+            });
         }
     }
 
-    /// Computes one claimed point (disk cache first, simulation on a
-    /// true miss), publishes the result, and wakes waiters.
+    /// The results of `points`, which [`Sweep::ensure`] resolved, in
+    /// order.
+    fn resolved(&self, points: &[SimPoint]) -> Vec<Result<SimResult, SimError>> {
+        let state = self.state.lock().expect("sweep state poisoned");
+        points
+            .iter()
+            .map(|p| {
+                (**state
+                    .get(&p.key())
+                    .expect("ensure() resolves every requested key"))
+                .clone()
+            })
+            .collect()
+    }
+
+    /// Computes one point (disk cache first, simulation on a true
+    /// miss) and publishes the result.
     fn compute_and_publish(&self, point: &SimPoint) {
         let key = point.key();
         let result = match self.load_cached(point, key) {
@@ -446,10 +415,10 @@ impl Sweep {
                 r
             }
         };
-        let mut state = self.state.lock().expect("sweep state poisoned");
-        state.insert(key, Slot::Done(Box::new(result)));
-        drop(state);
-        self.ready.notify_all();
+        self.state
+            .lock()
+            .expect("sweep state poisoned")
+            .insert(key, Box::new(result));
     }
 
     /// Synthesizes (or reuses) the power trace a spec describes.
@@ -508,6 +477,16 @@ impl Sweep {
     }
 }
 
+/// Panics on the first point whose configuration fails
+/// [`SimConfig::validate`], naming its workload and the error.
+fn validate_all(points: &[SimPoint]) {
+    for p in points {
+        if let Err(e) = p.config.validate() {
+            panic!("workload `{}`: {e}", p.workload);
+        }
+    }
+}
+
 /// One persisted point result (`results/.cache/<key>.json`).
 #[derive(Serialize, Deserialize)]
 struct CacheEntry {
@@ -529,18 +508,11 @@ pub struct SweepHandle<'a> {
 
 impl SweepHandle<'_> {
     /// Resolves every point in the batch (deduplicated against the
-    /// store, other in-flight batches, the disk cache, and within the
-    /// batch itself) and returns the results in request order.
+    /// store, earlier batches, the disk cache, and within the batch
+    /// itself) and returns the results in request order.
     pub fn wait(self) -> Vec<Result<SimResult, SimError>> {
         self.sweep.ensure(&self.points);
-        let state = self.sweep.state.lock().expect("sweep state poisoned");
-        self.points
-            .iter()
-            .map(|p| match state.get(&p.key()) {
-                Some(Slot::Done(r)) => (**r).clone(),
-                _ => unreachable!("ensure() resolves every requested key"),
-            })
-            .collect()
+        self.sweep.resolved(&self.points)
     }
 
     /// The points this handle will resolve.
@@ -668,23 +640,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An invalid point fails its whole batch before anything in it is
+    /// keyed or simulated, naming the workload and the rule.
     #[test]
-    fn parse_jobs_rejects_garbage_and_clamps_absurd_widths() {
-        assert_eq!(parse_jobs(""), None);
-        assert_eq!(parse_jobs("   "), None);
-        assert_eq!(parse_jobs("zero"), None);
-        assert_eq!(parse_jobs("0"), None, "a zero-width pool cannot run");
-        assert_eq!(parse_jobs("-4"), None);
-        assert_eq!(parse_jobs("1.5"), None);
-        assert_eq!(parse_jobs("1"), Some(1));
-        assert_eq!(parse_jobs(" 8 "), Some(8));
-        assert_eq!(parse_jobs(&MAX_JOBS.to_string()), Some(MAX_JOBS));
-        assert_eq!(
-            parse_jobs("10000"),
-            Some(MAX_JOBS),
-            "absurd widths clamp instead of spawning 10k threads"
-        );
-        assert_eq!(parse_jobs(&u64::MAX.to_string()), Some(MAX_JOBS));
+    fn an_invalid_point_fails_the_request_before_any_simulation() {
+        let sweep = Sweep::in_memory();
+        let mut bad = tiny_point();
+        bad.config.prefetch_buffer_entries = 0;
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sweep.request(vec![tiny_point(), bad]).wait()
+        }))
+        .expect_err("an invalid config must not be simulated");
+        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("workload `gsmd`"), "{msg}");
+        assert!(msg.contains("prefetch_buffer_entries"), "{msg}");
+        assert_eq!(sweep.stats(), SweepStats::default());
     }
 
     #[test]

@@ -1,33 +1,30 @@
-//! Validating, chainable construction of [`SimConfig`]s.
+//! Chainable construction of the prefetch-control part of a
+//! [`SimConfig`].
 //!
-//! The preset constructor zoo (`baseline()` / `ipex_both()` / ...) grew
-//! one ad-hoc name per paper configuration and still could not express
-//! most sweep points without field-poking. The builder replaces it:
+//! The builder says what one field write cannot: which caches a
+//! throttling policy controls, and that a machine has no prefetcher at
+//! all. Every other parameter is a public field of [`SimConfig`], set
+//! directly or with a `with_*` helper:
 //!
 //! ```
 //! use ehs_sim::{Ipex, SimConfig};
 //!
-//! let cfg = SimConfig::builder()
-//!     .ipex(Ipex::Both)
-//!     .cache_kb(1)
-//!     .prefetch_degree(4)
-//!     .build();
-//! assert_eq!(cfg.icache.size_bytes, 1024);
+//! let mut cfg = SimConfig::builder().ipex(Ipex::Both).build().with_cache_size(1024);
+//! cfg.prefetch_degree = 4;
+//! assert_eq!(cfg.validate(), Ok(()));
 //! ```
 //!
-//! `build()` validates the whole configuration (cache geometry,
-//! capacitor voltage ordering, throttling-policy parameters, prefetch
-//! settings) and panics with a field-naming message on contradiction;
-//! [`SimConfigBuilder::try_build`] returns the error instead.
+//! `build()` rejects a contradictory prefetch setup (a throttled cache
+//! without a prefetcher, an invalid policy) and panics with a
+//! field-naming message; [`SimConfigBuilder::try_build`] returns the
+//! error instead. The values themselves are checked by
+//! [`SimConfig::validate`], which every way of building a
+//! [`Machine`](crate::Machine) runs.
 
-use ehs_energy::{CapacitorConfig, EnergyModel};
-use ehs_mem::{CacheConfig, NvmConfig, NvmTech};
-use ehs_prefetch::{DataPrefetcherKind, InstPrefetcherKind};
 use ipex::{IpexConfig, PolicyConfig};
 
 use crate::config::PrefetchMode;
-use crate::trace::TraceMode;
-use crate::SimConfig;
+use crate::{ConfigError, SimConfig};
 
 /// Which caches IPEX (or another throttling policy) throttles — the
 /// paper's three comparison points.
@@ -43,21 +40,8 @@ pub enum Ipex {
     Both,
 }
 
-/// An invalid [`SimConfig`] under construction, naming the offending
-/// field(s).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError(pub String);
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid SimConfig: {}", self.0)
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Chainable builder for [`SimConfig`]; start from
-/// [`SimConfig::builder`], finish with [`build`](Self::build) or
+/// Chainable builder for a [`SimConfig`]'s prefetch control; start
+/// from [`SimConfig::builder`], finish with [`build`](Self::build) or
 /// [`try_build`](Self::try_build).
 ///
 /// Defaults are the paper's Table-1 system with conventional
@@ -65,7 +49,6 @@ impl std::error::Error for ConfigError {}
 /// NVSRAMCache baseline.
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
-    cfg: SimConfig,
     prefetch: bool,
     /// Which caches are throttled.
     placement: Ipex,
@@ -76,7 +59,6 @@ pub struct SimConfigBuilder {
 impl Default for SimConfigBuilder {
     fn default() -> Self {
         SimConfigBuilder {
-            cfg: SimConfig::default(),
             prefetch: true,
             placement: Ipex::Off,
             policy: PolicyConfig::Ipex(IpexConfig::paper_default()),
@@ -113,138 +95,16 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets both caches to `kb` kilobytes (Table 1: 2 kB each). A size
-    /// past `u32::MAX` bytes saturates, which `try_build` rejects.
-    pub fn cache_kb(self, kb: u32) -> Self {
-        self.cache_bytes(kb.saturating_mul(1024))
-    }
-
-    /// Sets both caches to `bytes` bytes.
-    pub fn cache_bytes(mut self, bytes: u32) -> Self {
-        self.cfg.icache.size_bytes = bytes;
-        self.cfg.dcache.size_bytes = bytes;
-        self
-    }
-
-    /// Sets both caches' associativity (Table 1: 4-way).
-    pub fn cache_assoc(mut self, ways: u32) -> Self {
-        self.cfg.icache.assoc = ways;
-        self.cfg.dcache.assoc = ways;
-        self
-    }
-
-    /// Replaces the ICache geometry wholesale.
-    pub fn icache(mut self, cache: CacheConfig) -> Self {
-        self.cfg.icache = cache;
-        self
-    }
-
-    /// Replaces the DCache geometry wholesale.
-    pub fn dcache(mut self, cache: CacheConfig) -> Self {
-        self.cfg.dcache = cache;
-        self
-    }
-
-    /// Prefetch-buffer entries per cache (Table 1: 4 × 16 B).
-    pub fn prefetch_buffer_entries(mut self, entries: usize) -> Self {
-        self.cfg.prefetch_buffer_entries = entries;
-        self
-    }
-
-    /// Instruction prefetcher (Table 1 default: sequential).
-    pub fn inst_prefetcher(mut self, kind: InstPrefetcherKind) -> Self {
-        self.cfg.inst_prefetcher = kind;
-        self
-    }
-
-    /// Data prefetcher (Table 1 default: stride).
-    pub fn data_prefetcher(mut self, kind: DataPrefetcherKind) -> Self {
-        self.cfg.data_prefetcher = kind;
-        self
-    }
-
-    /// Natural prefetch degree (Table 1: 2).
-    pub fn prefetch_degree(mut self, degree: u32) -> Self {
-        self.cfg.prefetch_degree = degree;
-        self
-    }
-
-    /// Replaces the main-memory parameters (Table 1: 16 MB ReRAM).
-    pub fn nvm(mut self, nvm: NvmConfig) -> Self {
-        self.cfg.nvm = nvm;
-        self
-    }
-
-    /// Main memory of `size_bytes` in the given technology, with the
-    /// documented capacity scaling for latency and energy.
-    pub fn nvm_tech(mut self, tech: NvmTech, size_bytes: u64) -> Self {
-        self.cfg.nvm = NvmConfig::for_tech(tech, size_bytes);
-        self
-    }
-
-    /// Replaces the capacitor parameters (Table 1: 0.47 µF).
-    pub fn capacitor(mut self, cap: CapacitorConfig) -> Self {
-        self.cfg.capacitor = cap;
-        self
-    }
-
-    /// The paper's capacitor electrical point at a different
-    /// capacitance (the Fig. 22 sweep).
-    pub fn capacitor_uf(mut self, uf: f64) -> Self {
-        self.cfg.capacitor = CapacitorConfig::with_capacitance_uf(uf);
-        self
-    }
-
-    /// Replaces the energy-model constants.
-    pub fn energy(mut self, model: EnergyModel) -> Self {
-        self.cfg.energy = model;
-        self
-    }
-
-    /// Zero-cost backup/restore — "NVSRAMCache (ideal)" of Fig. 11.
-    pub fn ideal_backup(mut self, ideal: bool) -> Self {
-        self.cfg.ideal_backup = ideal;
-        self
-    }
-
-    /// Fixed restore latency after reboot, cycles.
-    pub fn restore_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.restore_cycles = cycles;
-        self
-    }
-
-    /// Fixed backup latency on power failure, cycles.
-    pub fn backup_base_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.backup_base_cycles = cycles;
-        self
-    }
-
-    /// Safety limit on total simulated cycles.
-    pub fn max_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.max_cycles = cycles;
-        self
-    }
-
-    /// Instruction latencies `[alu, mul, div, branch, jump]`.
-    pub fn latencies(mut self, latencies: [u64; 5]) -> Self {
-        self.cfg.latencies = latencies;
-        self
-    }
-
-    /// Event tracing mode (off by default).
-    pub fn trace_mode(mut self, mode: TraceMode) -> Self {
-        self.cfg.trace = mode;
-        self
-    }
-
-    /// Validates and produces the configuration.
+    /// Produces the Table-1 configuration with the chosen prefetch
+    /// control.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] naming every violated constraint.
+    /// A [`ConfigError`] when a cache is throttled after
+    /// [`no_prefetch`](Self::no_prefetch), or when the throttling policy
+    /// is invalid.
     pub fn try_build(self) -> Result<SimConfig, ConfigError> {
         let SimConfigBuilder {
-            mut cfg,
             prefetch,
             placement,
             policy,
@@ -264,12 +124,6 @@ impl SimConfigBuilder {
                 policy.kind_name()
             ));
         }
-        // The rules on the values themselves; the mode policies are
-        // still the default `Conventional` here, so `policy` is checked
-        // once, above.
-        if let Err(ConfigError(e)) = cfg.validate() {
-            problems.push(e);
-        }
         if !problems.is_empty() {
             return Err(ConfigError(problems.join("; ")));
         }
@@ -281,17 +135,19 @@ impl SimConfigBuilder {
             (true, Ipex::Data) => (PrefetchMode::Conventional, throttled),
             (true, Ipex::Both) => (throttled, throttled),
         };
-        cfg.inst_mode = inst_mode;
-        cfg.data_mode = data_mode;
-        Ok(cfg)
+        Ok(SimConfig {
+            inst_mode,
+            data_mode,
+            ..SimConfig::default()
+        })
     }
 
-    /// Validates and produces the configuration.
+    /// Produces the configuration, like [`try_build`](Self::try_build).
     ///
     /// # Panics
     ///
-    /// Panics with the [`ConfigError`] message if any constraint is
-    /// violated; use [`try_build`](Self::try_build) to handle the error.
+    /// Panics with the [`ConfigError`] message where `try_build` returns
+    /// it.
     pub fn build(self) -> SimConfig {
         match self.try_build() {
             Ok(cfg) => cfg,
@@ -303,8 +159,6 @@ impl SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MAX_EVENT_CYCLES, MAX_SIM_CYCLES};
-    use ehs_prefetch::MAX_DEGREE;
 
     #[test]
     fn default_build_is_the_baseline() {
@@ -327,7 +181,7 @@ mod tests {
     }
 
     /// `ipex()` and `throttle_policy()` set the same two fields, so the
-    /// last call wins, like every other setter.
+    /// last call wins.
     #[test]
     fn last_throttling_call_wins() {
         use ipex::PredictiveConfig;
@@ -362,96 +216,19 @@ mod tests {
     }
 
     #[test]
-    fn chained_geometry() {
-        let cfg = SimConfig::builder()
-            .ipex(Ipex::Both)
-            .cache_kb(1)
-            .cache_assoc(2)
-            .prefetch_buffer_entries(8)
-            .prefetch_degree(4)
-            .capacitor_uf(47.0)
-            .ideal_backup(true)
-            .build();
-        assert_eq!(cfg.icache.size_bytes, 1024);
-        assert_eq!(cfg.dcache.assoc, 2);
-        assert_eq!(cfg.prefetch_buffer_entries, 8);
-        assert_eq!(cfg.prefetch_degree, 4);
-        assert!((cfg.capacitor.capacitance_uf - 47.0).abs() < 1e-12);
-        assert!(cfg.ideal_backup);
-    }
-
-    #[test]
-    fn invalid_geometry_is_rejected() {
-        let err = SimConfig::builder().cache_bytes(100).try_build();
-        assert!(err.is_err(), "non-power-of-two sets must be rejected");
+    fn throttling_without_a_prefetcher_is_rejected() {
         let err = SimConfig::builder()
             .no_prefetch()
             .ipex(Ipex::Both)
             .try_build()
             .unwrap_err();
         assert!(err.0.contains("no_prefetch"), "{err}");
-        let err = SimConfig::builder().prefetch_degree(0).try_build();
-        assert!(err.is_err());
-    }
-
-    /// Each of these passed `try_build` and then failed: a panic in
-    /// `Machine::with_trace` (degree 64, NaN capacitance), an `unreachable!`
-    /// in `Machine::run` (a backup window reaching `u64::MAX`), or a
-    /// silently wrapped cycle counter (latency `u64::MAX`).
-    #[test]
-    fn prefetch_degree_above_the_prefetchers_maximum_is_rejected() {
-        let err = SimConfig::builder().prefetch_degree(64).try_build();
-        assert!(err.unwrap_err().0.contains("prefetch_degree"));
-        assert!(SimConfig::builder()
-            .prefetch_degree(MAX_DEGREE)
-            .try_build()
-            .is_ok());
-    }
-
-    #[test]
-    fn nan_capacitance_is_rejected() {
-        let err = SimConfig::builder().capacitor_uf(f64::NAN).try_build();
-        assert!(err.unwrap_err().0.contains("capacitance"));
-        let err = SimConfig::builder().capacitor_uf(f64::INFINITY).try_build();
-        assert!(err.unwrap_err().0.contains("capacitance"));
-    }
-
-    #[test]
-    fn a_backup_window_that_could_wrap_is_rejected() {
-        let err = SimConfig::builder()
-            .backup_base_cycles(u64::MAX)
-            .try_build();
-        assert!(err.unwrap_err().0.contains("backup_base_cycles"));
-        let err = SimConfig::builder()
-            .restore_cycles(MAX_EVENT_CYCLES + 1)
-            .try_build();
-        assert!(err.unwrap_err().0.contains("restore_cycles"));
-        assert!(SimConfig::builder()
-            .backup_base_cycles(MAX_EVENT_CYCLES)
-            .restore_cycles(MAX_EVENT_CYCLES)
-            .try_build()
-            .is_ok());
-    }
-
-    #[test]
-    fn a_latency_that_could_wrap_the_cycle_counter_is_rejected() {
-        let err = SimConfig::builder()
-            .latencies([u64::MAX, 1, 1, 1, 1])
-            .try_build();
-        assert!(err.unwrap_err().0.contains("latencies"));
-        let err = SimConfig::builder().max_cycles(u64::MAX).try_build();
-        assert!(err.unwrap_err().0.contains("max_cycles"));
-        assert!(SimConfig::builder()
-            .latencies([MAX_EVENT_CYCLES; 5])
-            .max_cycles(MAX_SIM_CYCLES)
-            .try_build()
-            .is_ok());
     }
 
     #[test]
     #[should_panic(expected = "invalid SimConfig")]
     fn build_panics_on_invalid() {
-        SimConfig::builder().cache_assoc(0).build();
+        SimConfig::builder().no_prefetch().ipex(Ipex::Data).build();
     }
 
     #[test]

@@ -6,7 +6,7 @@ use ehs_prefetch::{DataPrefetcherKind, InstPrefetcherKind, MAX_DEGREE};
 use ipex::PolicyConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::builder::{ConfigError, SimConfigBuilder};
+use crate::builder::SimConfigBuilder;
 use crate::trace::TraceMode;
 
 /// Core cycles per 10 µs power-trace sample (200 MHz × 10 µs).
@@ -18,9 +18,10 @@ pub const CYCLES_PER_TRACE_SAMPLE: u64 = 2000;
 ///
 /// With [`MAX_SIM_CYCLES`] it keeps every cycle addition far from
 /// wrapping: the machine stops within one event of `max_cycles`, and
-/// the longest event, a backup of every block of two 4 GiB caches, is
-/// under 2^53 cycles. It also bounds the host work of one event, which
-/// walks the power trace sample by sample.
+/// the longest event, a backup of every block of two
+/// [`MAX_CACHE_BYTES`] caches, is under 2^42 cycles. It also bounds the
+/// host work of one event, which walks the power trace sample by
+/// sample.
 pub(crate) const MAX_EVENT_CYCLES: u64 = 1 << 24;
 
 /// Upper bound on `max_cycles` (2^62, far beyond any real run).
@@ -31,6 +32,30 @@ pub(crate) const MAX_SIM_CYCLES: u64 = 1 << 62;
 /// up front, so a huge count would abort on allocation instead of
 /// failing validation.
 pub(crate) const MAX_PREFETCH_BUFFER_ENTRIES: usize = 1024;
+
+/// Upper bound on each cache's capacity (1 MiB; Table 1 has 2 kB and
+/// Fig. 18 sweeps up to 8 kB). A cache allocates one line per 16-byte
+/// block up front.
+pub(crate) const MAX_CACHE_BYTES: u32 = 1 << 20;
+
+/// Upper bound on the NVM capacity (1 GiB; Table 1 has 16 MB and
+/// Fig. 20 sweeps up to 32 MB). The interpreter addresses memory with
+/// 32-bit registers and starts the stack pointer 16 bytes below its
+/// top, so the size must fit in 32 bits; the lower bound, one 16-byte
+/// block, keeps that stack pointer from wrapping.
+pub(crate) const MAX_NVM_BYTES: u64 = 1 << 30;
+
+/// An invalid [`SimConfig`], naming the offending field(s).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(pub String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid SimConfig: {}", self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// How a cache's prefetcher is controlled.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,7 +79,10 @@ impl PrefetchMode {
 /// Full configuration of a simulated EHS.
 ///
 /// [`SimConfig::default`] reproduces Table 1; [`SimConfig::builder`]
-/// derives the comparison points used throughout §6.
+/// chooses the prefetch control of the comparison points used
+/// throughout §6, and each sweep sets its one field directly.
+/// [`SimConfig::validate`] checks the result, and building a
+/// [`Machine`](crate::Machine) runs it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
     /// ICache geometry (Table 1: 2 kB, 4-way).
@@ -121,22 +149,22 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Starts a validating, chainable [`SimConfigBuilder`] from the
-    /// Table-1 defaults — the one way to construct configurations:
-    /// `SimConfig::builder().ipex(Ipex::Both).cache_kb(1).build()`.
+    /// Starts a chainable [`SimConfigBuilder`] from the Table-1
+    /// defaults, for the prefetch control a field write cannot say:
+    /// `SimConfig::builder().ipex(Ipex::Both).build()`.
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder::default()
     }
 
-    /// Checks every value a machine relies on: cache geometry, buffer
-    /// and degree limits, cycle bounds that keep the cycle counter from
-    /// wrapping, finite non-negative energies, the capacitor's voltage
-    /// ordering and each throttling policy's parameters.
-    /// [`SimConfigBuilder::try_build`] and [`Machine::resume`] both run
-    /// it, so a configuration from a snapshot passes the same rules as
-    /// a built one.
+    /// Checks every value a machine relies on: cache geometry and
+    /// size, NVM size, buffer and degree limits, cycle bounds that keep
+    /// the cycle counter from wrapping, finite non-negative energies,
+    /// the capacitor's voltage ordering and each throttling policy's
+    /// parameters. [`Machine::try_with_trace`] runs it, and with it
+    /// every other way to build a machine, so a configuration from a
+    /// snapshot passes the same rules as one written in code.
     ///
-    /// [`Machine::resume`]: crate::Machine::resume
+    /// [`Machine::try_with_trace`]: crate::Machine::try_with_trace
     ///
     /// # Errors
     ///
@@ -156,6 +184,8 @@ impl SimConfig {
         for (name, c) in [("icache", &self.icache), ("dcache", &self.dcache)] {
             if c.size_bytes < BLOCK_SIZE {
                 problems.push(format!("{name}: smaller than one {BLOCK_SIZE}-byte block"));
+            } else if c.size_bytes > MAX_CACHE_BYTES {
+                problems.push(format!("{name}: larger than {MAX_CACHE_BYTES} bytes"));
             } else if c.assoc == 0 {
                 problems.push(format!("{name}: associativity must be at least 1"));
             } else if BLOCK_SIZE
@@ -171,6 +201,11 @@ impl SimConfig {
                     c.num_sets()
                 ));
             }
+        }
+        if !(u64::from(BLOCK_SIZE)..=MAX_NVM_BYTES).contains(&self.nvm.size_bytes) {
+            problems.push(format!(
+                "nvm.size_bytes: must be {BLOCK_SIZE}..={MAX_NVM_BYTES} bytes"
+            ));
         }
         if !(1..=MAX_PREFETCH_BUFFER_ENTRIES).contains(&self.prefetch_buffer_entries) {
             problems.push(format!(
@@ -317,6 +352,97 @@ mod tests {
         for i in 0..64 {
             assert_eq!(spec.power_mw_at(i), direct.power_mw_at(i));
         }
+    }
+
+    /// The Table-1 defaults with `edit` applied, validated.
+    fn validated(edit: impl FnOnce(&mut SimConfig)) -> Result<(), ConfigError> {
+        let mut cfg = SimConfig::default();
+        edit(&mut cfg);
+        cfg.validate()
+    }
+
+    #[test]
+    fn the_defaults_are_valid() {
+        assert_eq!(SimConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn invalid_geometry_is_rejected() {
+        let err = validated(|c| *c = c.clone().with_cache_size(100));
+        assert!(err.is_err(), "non-power-of-two sets must be rejected");
+        let err = validated(|c| c.dcache.assoc = 0).unwrap_err();
+        assert!(err.0.contains("dcache: associativity"), "{err}");
+        assert!(validated(|c| c.prefetch_degree = 0).is_err());
+    }
+
+    /// A 2 GiB cache of valid geometry used to pass `validate`, and a
+    /// machine would then allocate one line per 16-byte block: 2^27.
+    #[test]
+    fn a_2_gib_cache_is_rejected() {
+        let err = validated(|c| c.icache.size_bytes = 1 << 31).unwrap_err();
+        assert!(err.0.contains("icache: larger than"), "{err}");
+        assert_eq!(
+            validated(|c| *c = c.clone().with_cache_size(MAX_CACHE_BYTES)),
+            Ok(())
+        );
+    }
+
+    /// A 4 GiB NVM used to pass `validate`. Its size truncates to 0 in
+    /// the interpreter's 32-bit stack-pointer arithmetic, which then
+    /// panicked on a subtract overflow.
+    #[test]
+    fn a_4_gib_nvm_is_rejected() {
+        let err = validated(|c| c.nvm.size_bytes = 1 << 32).unwrap_err();
+        assert!(err.0.contains("nvm.size_bytes"), "{err}");
+        assert_eq!(validated(|c| c.nvm.size_bytes = MAX_NVM_BYTES), Ok(()));
+        let err = validated(|c| c.nvm.size_bytes = u64::from(BLOCK_SIZE) - 1).unwrap_err();
+        assert!(err.0.contains("nvm.size_bytes"), "{err}");
+    }
+
+    /// Each of these once built a machine and then failed: a panic in
+    /// `Machine::with_trace` (degree 64, NaN capacitance), an
+    /// `unreachable!` in `Machine::run` (a backup window reaching
+    /// `u64::MAX`), or a silently wrapped cycle counter (latency
+    /// `u64::MAX`).
+    #[test]
+    fn prefetch_degree_above_the_prefetchers_maximum_is_rejected() {
+        let err = validated(|c| c.prefetch_degree = 64);
+        assert!(err.unwrap_err().0.contains("prefetch_degree"));
+        assert_eq!(validated(|c| c.prefetch_degree = MAX_DEGREE), Ok(()));
+    }
+
+    #[test]
+    fn nan_capacitance_is_rejected() {
+        for uf in [f64::NAN, f64::INFINITY] {
+            let err = validated(|c| c.capacitor = CapacitorConfig::with_capacitance_uf(uf));
+            assert!(err.unwrap_err().0.contains("capacitance"));
+        }
+    }
+
+    #[test]
+    fn a_backup_window_that_could_wrap_is_rejected() {
+        let err = validated(|c| c.backup_base_cycles = u64::MAX);
+        assert!(err.unwrap_err().0.contains("backup_base_cycles"));
+        let err = validated(|c| c.restore_cycles = MAX_EVENT_CYCLES + 1);
+        assert!(err.unwrap_err().0.contains("restore_cycles"));
+        let ok = validated(|c| {
+            c.backup_base_cycles = MAX_EVENT_CYCLES;
+            c.restore_cycles = MAX_EVENT_CYCLES;
+        });
+        assert_eq!(ok, Ok(()));
+    }
+
+    #[test]
+    fn a_latency_that_could_wrap_the_cycle_counter_is_rejected() {
+        let err = validated(|c| c.latencies = [u64::MAX, 1, 1, 1, 1]);
+        assert!(err.unwrap_err().0.contains("latencies"));
+        let err = validated(|c| c.max_cycles = u64::MAX);
+        assert!(err.unwrap_err().0.contains("max_cycles"));
+        let ok = validated(|c| {
+            c.latencies = [MAX_EVENT_CYCLES; 5];
+            c.max_cycles = MAX_SIM_CYCLES;
+        });
+        assert_eq!(ok, Ok(()));
     }
 
     /// A policy written into a mode directly, not through the builder,

@@ -39,8 +39,8 @@ mod result;
 pub mod snapshot;
 mod trace;
 
-pub use builder::{ConfigError, Ipex, SimConfigBuilder};
-pub use config::{PrefetchMode, SimConfig, CYCLES_PER_TRACE_SAMPLE};
+pub use builder::{Ipex, SimConfigBuilder};
+pub use config::{ConfigError, PrefetchMode, SimConfig, CYCLES_PER_TRACE_SAMPLE};
 
 /// Identifies the execution-engine generation for throughput trajectory
 /// records (`BENCH_core.json`). Bump only when the *performance* of the
@@ -67,8 +67,8 @@ pub use trace::{
 /// # let _ = (cfg, trace);
 /// ```
 pub mod prelude {
-    pub use crate::builder::{ConfigError, Ipex, SimConfigBuilder};
-    pub use crate::config::{PrefetchMode, SimConfig};
+    pub use crate::builder::{Ipex, SimConfigBuilder};
+    pub use crate::config::{ConfigError, PrefetchMode, SimConfig};
     pub use crate::machine::{FaultPlan, Machine, RunStatus, SimError};
     pub use crate::result::{SimResult, SimStats};
     pub use crate::snapshot::{Phase, Snapshot, SnapshotError};

@@ -1,7 +1,5 @@
 //! The simulated machine and its main loop.
 
-use std::borrow::Cow;
-
 use ehs_energy::{mw_to_nj_per_cycle, Capacitor, EnergyBreakdown, PowerTrace};
 use ehs_isa::{ExecClass, ExecError, Interpreter, LoadImage, Program};
 use ehs_mem::{block_of, Cache, InsertOutcome, Nvm, Persist, PrefetchBuffer, ReadReason};
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::{PrefetchMode, CYCLES_PER_TRACE_SAMPLE};
 use crate::snapshot::{self, Phase, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::trace::{EventCounts, PathId, SimEvent, TraceSink, Tracer};
-use crate::{SimConfig, SimResult, SimStats};
+use crate::{ConfigError, SimConfig, SimResult, SimStats};
 
 /// `last_fetch_block` value meaning "no fetch since the last power
 /// loss": blocks are 16-byte aligned, so no block equals it.
@@ -209,10 +207,33 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is internally inconsistent (invalid
-    /// cache geometry, zero-entry prefetch buffer, bad capacitor
-    /// ordering).
+    /// Panics with the [`ConfigError`] that
+    /// [`try_with_trace`](Self::try_with_trace) returns.
     pub fn with_trace(cfg: SimConfig, program: &Program, trace: PowerTrace) -> Machine {
+        Machine::try_with_trace(cfg, program, trace).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a machine over `program` powered by `trace`: the one
+    /// place a configuration is checked before anything is built from
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] when `cfg` fails [`SimConfig::validate`] or
+    /// its NVM cannot hold the program image.
+    pub fn try_with_trace(
+        cfg: SimConfig,
+        program: &Program,
+        trace: PowerTrace,
+    ) -> Result<Machine, ConfigError> {
+        cfg.validate()?;
+        let nvm_bytes = cfg.nvm.size_bytes;
+        if program.image_end() as u64 > nvm_bytes {
+            return Err(ConfigError(format!(
+                "nvm.size_bytes {nvm_bytes} cannot hold the program image ({} bytes)",
+                program.image_end()
+            )));
+        }
         let build_path = |mode: &PrefetchMode, is_inst: bool| -> MemPath {
             let pf = match mode {
                 PrefetchMode::Off => AnyPrefetcher::Null(ehs_prefetch::NullPrefetcher::new()),
@@ -261,7 +282,7 @@ impl Machine {
         nj_by_class[ExecClass::Div.index()] = cfg.energy.compute.div_nj;
         nj_by_class[ExecClass::Load.index()] = cfg.energy.compute.mem_nj;
         nj_by_class[ExecClass::Store.index()] = cfg.energy.compute.mem_nj;
-        Machine {
+        Ok(Machine {
             interp,
             ipath,
             dpath,
@@ -294,7 +315,7 @@ impl Machine {
             hspan_end: 0,
             hspan_rate: 0.0,
             cfg,
-        }
+        })
     }
 
     /// Verification/benchmark hook: `true` disables voltage-observation
@@ -583,37 +604,23 @@ impl Machine {
     ///
     /// [`SnapshotError`] when the snapshot's version, program, trace, or
     /// any state component does not match this build / the supplied
-    /// inputs, when its configuration fails [`SimConfig::validate`], or
-    /// when its NVM is too small to hold `program`.
+    /// inputs, or when [`Machine::try_with_trace`] rejects its
+    /// configuration.
     pub fn resume(
         snap: &Snapshot,
         program: &Program,
         trace: PowerTrace,
     ) -> Result<Machine, SnapshotError> {
-        // Bring older-format snapshots forward (or reject them) before
-        // any state is applied; see `Snapshot::migrate` for the history.
-        // Only an old version pays for a copy.
-        let snap = &if snap.version == SNAPSHOT_VERSION {
-            Cow::Borrowed(snap)
-        } else {
-            Cow::Owned(snap.clone().migrate()?)
-        };
-        debug_assert_eq!(snap.version, SNAPSHOT_VERSION);
-        // A snapshot's configuration is outside input: it passes the
-        // builder's rules before anything is built from it.
-        snap.cfg
-            .validate()
-            .map_err(|e| SnapshotError::State(format!("cfg: {e}")))?;
-        // Building the machine loads the program, which panics on a
-        // memory too small to hold it.
-        let nvm_bytes = snap.cfg.nvm.size_bytes;
-        if program.image_end() as u64 > nvm_bytes {
-            return Err(SnapshotError::State(format!(
-                "cfg.nvm.size_bytes {nvm_bytes} cannot hold the program image ({} bytes)",
-                program.image_end()
-            )));
+        if snap.version != SNAPSHOT_VERSION {
+            return Err(SnapshotError::VersionMismatch {
+                found: snap.version,
+                expected: SNAPSHOT_VERSION,
+            });
         }
-        let mut m = Machine::with_trace(snap.cfg.clone(), program, trace);
+        // A snapshot's configuration is outside input: it passes the
+        // same checks as one written in code before anything is built.
+        let mut m = Machine::try_with_trace(snap.cfg.clone(), program, trace)
+            .map_err(|e| SnapshotError::State(format!("cfg: {e}")))?;
         let program_digest = m.interp.mem_digest();
         if snap.program_digest != program_digest {
             return Err(SnapshotError::ProgramMismatch {
@@ -1672,6 +1679,34 @@ mod tests {
         assert_eq!(final_stats.nvm, whole.nvm);
     }
 
+    /// Building a machine is the one gate: a value `validate` rejects
+    /// and an NVM too small for the program are errors, not panics.
+    #[test]
+    fn try_with_trace_rejects_what_cannot_be_built() {
+        let program = tiny_program();
+        let trace = PowerTrace::constant_mw(3.0, 16);
+        let build = |edit: fn(&mut SimConfig, u64)| {
+            let mut cfg = SimConfig::default();
+            edit(&mut cfg, program.image_end() as u64);
+            Machine::try_with_trace(cfg, &program, trace.clone()).map(|_| ())
+        };
+        let err = build(|c, _| c.nvm.size_bytes = 1 << 32).unwrap_err();
+        assert!(err.0.contains("nvm.size_bytes: must be"), "{err}");
+        let err = build(|c, end| c.nvm.size_bytes = end - 1).unwrap_err();
+        assert!(err.0.contains("cannot hold the program image"), "{err}");
+        let err = build(|c, _| c.latencies[2] = 0).unwrap_err();
+        assert!(err.0.contains("latencies"), "{err}");
+        assert_eq!(build(|c, end| c.nvm.size_bytes = end), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold the program image")]
+    fn with_trace_panics_with_the_config_error() {
+        let mut cfg = SimConfig::default();
+        cfg.nvm.size_bytes = 4096;
+        let _ = Machine::with_trace(cfg, &tiny_program(), PowerTrace::constant_mw(3.0, 16));
+    }
+
     #[test]
     fn resume_rejects_mismatched_inputs() {
         let program = tiny_program();
@@ -1728,8 +1763,8 @@ mod tests {
     fn weak_power_counted(tweak: impl FnOnce(&mut Machine)) -> (SimResult, EventCounts) {
         let cfg = SimConfig::builder()
             .ipex(Ipex::Both)
-            .trace_mode(crate::TraceMode::Counting)
-            .build();
+            .build()
+            .with_trace_mode(crate::TraceMode::Counting);
         let trace = PowerTrace::constant_mw(2.0, 16);
         let mut m = Machine::with_trace(cfg, &tiny_program(), trace);
         tweak(&mut m);
@@ -1877,11 +1912,11 @@ mod tests {
         ] {
             for mw in [50.0, 2.0] {
                 let run = |full: bool| {
-                    let cfg = SimConfig::builder()
+                    let mut cfg = SimConfig::builder()
                         .ipex(Ipex::Both)
-                        .inst_prefetcher(kind)
-                        .trace_mode(crate::TraceMode::Counting)
-                        .build();
+                        .build()
+                        .with_trace_mode(crate::TraceMode::Counting);
+                    cfg.inst_prefetcher = kind;
                     let mut m = Machine::with_trace(cfg, &program, PowerTrace::constant_mw(mw, 16));
                     m.full_fetch_path = full;
                     let r = m.run().unwrap();
@@ -1958,30 +1993,24 @@ mod tests {
         }
     }
 
-    /// Version-1 snapshots (pre policy API) still resume: the migration
-    /// shim lifts them to the current version in memory.
+    /// Only the current snapshot version resumes: version-1 files
+    /// (pre policy API) are rejected like any other stale version.
     #[test]
-    fn v1_snapshots_migrate_and_resume() {
+    fn v1_snapshots_are_rejected() {
         let program = tiny_program();
         let trace = PowerTrace::constant_mw(3.0, 16);
         let cfg = SimConfig::builder().ipex(Ipex::Both).build();
         let mut m = Machine::with_trace(cfg, &program, trace.clone());
         assert!(matches!(m.run_until(40_000).unwrap(), RunStatus::Paused));
-        let whole = Machine::with_trace(
-            SimConfig::builder().ipex(Ipex::Both).build(),
-            &program,
-            trace.clone(),
-        )
-        .run()
-        .unwrap();
         let mut snap = m.snapshot(&program);
         snap.version = 1;
-        let split = Machine::resume(&snap, &program, trace)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(split.stats, whole.stats);
-        assert_eq!(split.energy, whole.energy);
+        assert!(matches!(
+            Machine::resume(&snap, &program, trace),
+            Err(SnapshotError::VersionMismatch {
+                found: 1,
+                expected: SNAPSHOT_VERSION
+            })
+        ));
     }
 
     /// Adapting policies announce their adaptation events through the
@@ -1995,15 +2024,15 @@ mod tests {
         for cfg in [
             SimConfig::builder()
                 .ipex(Ipex::Both)
-                .trace_mode(crate::TraceMode::Counting)
-                .build(),
+                .build()
+                .with_trace_mode(crate::TraceMode::Counting),
             SimConfig::builder()
                 .throttle_policy(
                     Ipex::Both,
                     PolicyConfig::Predictive(PredictiveConfig::paper_default()),
                 )
-                .trace_mode(crate::TraceMode::Counting)
-                .build(),
+                .build()
+                .with_trace_mode(crate::TraceMode::Counting),
         ] {
             let mut m = Machine::with_trace(cfg, &tiny_program(), trace.clone());
             let r = m.run().unwrap();

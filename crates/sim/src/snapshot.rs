@@ -42,17 +42,15 @@ use crate::SimConfig;
 
 /// Snapshot format version. Bumped whenever [`Snapshot`]'s layout or the
 /// machine's execution semantics change; [`Machine::resume`] rejects any
-/// version [`Snapshot::migrate`] cannot bring forward, so stale
-/// checkpoint files invalidate themselves.
+/// other version, so stale checkpoint files invalidate themselves.
 ///
 /// History:
 /// * **1** — initial format.
 /// * **2** — throttling-policy API: `ithrottle`/`dthrottle` may carry
 ///   any [`PolicyState`] kind (predictive, hysteresis, static-degree,
 ///   not just passthrough/IPEX) and `event_counts` gained
-///   `policy_adapt`. v1 files are forward-compatible (the new
-///   `PolicyState` kinds are additive and `policy_adapt` defaults to
-///   0), so migration is a version bump.
+///   `policy_adapt`. v1 files are no longer read; every corpus
+///   snapshot is v2.
 /// * **2, no bump** — IPEX moved into `PrefetchMode::Policy` as
 ///   `PolicyConfig::Ipex`. A file whose `cfg` still has the old
 ///   `{"Ipex": …}` mode fails [`Snapshot::from_json`]; the sweep's
@@ -184,34 +182,6 @@ impl Snapshot {
     /// are in bit-identical states (modulo FNV collisions).
     pub fn digest(&self) -> u64 {
         canon::canonical_digest(self)
-    }
-
-    /// Brings a snapshot written by an older format version forward to
-    /// [`SNAPSHOT_VERSION`]. Called by
-    /// [`Machine::resume`](crate::Machine::resume) before any state is
-    /// applied, so old checkpoint files keep working where the layouts
-    /// allow it.
-    ///
-    /// Current migrations: v1 → v2 is a pure version bump — every v1
-    /// field deserializes identically under v2 (`policy_adapt` defaults
-    /// to 0, throttle-state kinds are additive).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::VersionMismatch`] for versions with no migration
-    /// path (anything other than 1 or 2).
-    pub fn migrate(mut self) -> Result<Snapshot, SnapshotError> {
-        match self.version {
-            SNAPSHOT_VERSION => Ok(self),
-            1 => {
-                self.version = 2;
-                Ok(self)
-            }
-            found => Err(SnapshotError::VersionMismatch {
-                found,
-                expected: SNAPSHOT_VERSION,
-            }),
-        }
     }
 }
 

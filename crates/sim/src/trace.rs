@@ -14,7 +14,9 @@
 //! the event. When tracing is disabled the closure is never called, so
 //! the disabled path is a single predictable branch. Every throughput
 //! figure the repository records (`core_bench`, the benchmark package)
-//! runs with tracing off, so that branch is inside their numbers.
+//! runs with tracing off, so that branch is inside their numbers;
+//! `core_bench` also times one [`TraceMode::Counting`] pass and prints
+//! its cost.
 //!
 //! # Sinks
 //!

@@ -115,7 +115,10 @@ fn tiny_capacitor_preserves_full_state_across_workloads() {
 #[test]
 fn dead_supply_reports_cycle_limit_not_hang() {
     let trace = PowerTrace::constant_mw(0.0001, 4);
-    let cfg = SimConfig::builder().max_cycles(2_000_000).build();
+    let cfg = SimConfig {
+        max_cycles: 2_000_000,
+        ..SimConfig::default()
+    };
     let w = ehs_repro::workloads::by_name("gsmd").unwrap();
     let err = Machine::with_trace(cfg, &w.program(), trace)
         .run()
@@ -143,7 +146,10 @@ fn tiny_capacitor_still_makes_progress() {
 
 #[test]
 fn giant_capacitor_runs_in_one_power_cycle() {
-    let cfg = SimConfig::builder().capacitor_uf(1000.0).build();
+    let cfg = SimConfig {
+        capacitor: CapacitorConfig::with_capacitance_uf(1000.0),
+        ..SimConfig::default()
+    };
     let w = ehs_repro::workloads::by_name("gsmd").unwrap();
     let r = Machine::with_trace(cfg, &w.program(), SimConfig::default_trace())
         .run()

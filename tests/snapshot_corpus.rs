@@ -173,9 +173,10 @@ fn nvm_too_small_for_the_program_is_rejected_at_resume() {
     }
 }
 
-/// A configuration value the builder rejects used to resume: a gsmd
-/// snapshot with a `u64::MAX` ALU latency resumed and, run on, wrapped
-/// the cycle counter and reported completion at an early cycle.
+/// A configuration value `SimConfig::validate` rejects used to
+/// resume: a gsmd snapshot with a `u64::MAX` ALU latency resumed and,
+/// run on, wrapped the cycle counter and reported completion at an
+/// early cycle.
 #[test]
 fn config_the_builder_rejects_is_rejected_at_resume() {
     let err = resume_edited("gsmd-baseline.json", |snap| {
