@@ -230,12 +230,6 @@ impl Sweep {
         }
     }
 
-    /// An engine with no on-disk persistence — what [`crate::run_suite`]
-    /// and tests use.
-    pub fn in_memory() -> Sweep {
-        Sweep::new(SweepOptions::default())
-    }
-
     /// The worker-pool width this engine actually uses. This is the
     /// resolved value (explicit option or detected parallelism, clamped
     /// to `1..=MAX_JOBS`), so callers recording "how many workers ran"
@@ -555,7 +549,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_simulate_once() {
-        let sweep = Sweep::in_memory();
+        let sweep = Sweep::new(SweepOptions::default());
         let p = tiny_point();
         // Duplicates within one batch...
         let rs = sweep.request(vec![p.clone(), p.clone(), p.clone()]).wait();
@@ -572,7 +566,7 @@ mod tests {
 
     #[test]
     fn concurrent_batches_dedup_in_flight() {
-        let sweep = Sweep::in_memory();
+        let sweep = Sweep::new(SweepOptions::default());
         let p = tiny_point();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -617,7 +611,7 @@ mod tests {
         crate::write_checkpoint(&policy.path_for(point.key()), &m.snapshot(&program));
 
         // A fresh engine must resume it — and produce the cold result.
-        let cold = Sweep::in_memory().get(&point).unwrap();
+        let cold = Sweep::new(SweepOptions::default()).get(&point).unwrap();
         let sweep = Sweep::new(SweepOptions {
             jobs: Some(1),
             checkpoints: Some(policy.clone()),
@@ -644,7 +638,7 @@ mod tests {
     /// keyed or simulated, naming the workload and the rule.
     #[test]
     fn an_invalid_point_fails_the_request_before_any_simulation() {
-        let sweep = Sweep::in_memory();
+        let sweep = Sweep::new(SweepOptions::default());
         let mut bad = tiny_point();
         bad.config.prefetch_buffer_entries = 0;
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -669,7 +663,7 @@ mod tests {
                 samples: 8,
             },
         );
-        let sweep = Sweep::in_memory();
+        let sweep = Sweep::new(SweepOptions::default());
         let e1 = sweep.get(&p).expect_err("10 cycles cannot complete gsmd");
         let e2 = sweep.get(&p).expect_err("memoized outcome must match");
         assert!(matches!(e1, SimError::CycleLimit { .. }));

@@ -27,7 +27,7 @@ fn fig10_is_byte_identical_across_engines_and_cache_states() {
     //    during rendering.
     let memory_dir = tmp_dir("memory");
     {
-        let sweep = Sweep::in_memory();
+        let sweep = Sweep::new(SweepOptions::default());
         let cx = RenderCx {
             sweep: &sweep,
             out_dir: memory_dir.clone(),

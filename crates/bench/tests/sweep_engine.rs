@@ -143,7 +143,7 @@ fn corrupt_cache_entry_is_a_miss_not_a_crash() {
 #[test]
 fn no_cache_engine_touches_no_disk() {
     let dir = tmp_dir("none");
-    let sweep = Sweep::in_memory();
+    let sweep = Sweep::new(SweepOptions::default());
     let _ = sweep.get(&tiny_point()).expect("simulates fine");
     assert!(!dir.exists());
     assert_eq!(sweep.stats().disk_hits, 0);

@@ -3,7 +3,7 @@
 //! The simulator's hot loop calls [`Prefetcher::observe`] on every
 //! demand access. Through a `Box<dyn Prefetcher>` that is an indirect
 //! call the compiler cannot inline; [`AnyPrefetcher`] replaces it with
-//! a direct match over the eight concrete kinds, which inlines and
+//! a direct match over the seven concrete kinds, which inlines and
 //! branch-predicts (the kind never changes within a run). DESIGN.md §8
 //! records the difference measured when the enum replaced the box.
 //!
@@ -13,12 +13,11 @@
 use ehs_mem::Persist;
 
 use crate::{
-    AccessEvent, AmpmPrefetcher, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher,
-    NullPrefetcher, Prefetcher, PrefetcherState, SequentialPrefetcher, Shape, StridePrefetcher,
-    TifsPrefetcher,
+    AccessEvent, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher, NullPrefetcher, Prefetcher,
+    PrefetcherState, SequentialPrefetcher, Shape, StridePrefetcher, TifsPrefetcher,
 };
 
-/// Any of the eight concrete prefetchers, dispatched by direct match
+/// Any of the seven concrete prefetchers, dispatched by direct match
 /// instead of vtable (see the module docs).
 #[derive(Debug, Clone)]
 pub enum AnyPrefetcher {
@@ -36,8 +35,6 @@ pub enum AnyPrefetcher {
     Ghb(GhbPrefetcher),
     /// Best-offset data prefetcher.
     BestOffset(BestOffsetPrefetcher),
-    /// Access-map pattern-matching data prefetcher.
-    Ampm(AmpmPrefetcher),
 }
 
 macro_rules! delegate {
@@ -50,7 +47,6 @@ macro_rules! delegate {
             AnyPrefetcher::Stride($p) => $body,
             AnyPrefetcher::Ghb($p) => $body,
             AnyPrefetcher::BestOffset($p) => $body,
-            AnyPrefetcher::Ampm($p) => $body,
         }
     };
 }
@@ -86,7 +82,6 @@ impl Persist for AnyPrefetcher {
             AnyPrefetcher::Stride(p) => PrefetcherState::Stride(p.clone()),
             AnyPrefetcher::Ghb(p) => PrefetcherState::Ghb(p.clone()),
             AnyPrefetcher::BestOffset(p) => PrefetcherState::BestOffset(p.clone()),
-            AnyPrefetcher::Ampm(p) => PrefetcherState::Ampm(p.clone()),
         }
     }
 
@@ -110,9 +105,6 @@ impl Persist for AnyPrefetcher {
             (AnyPrefetcher::Ghb(p), PrefetcherState::Ghb(s)) => restore(p, s, GhbPrefetcher::shape),
             (AnyPrefetcher::BestOffset(p), PrefetcherState::BestOffset(s)) => {
                 restore(p, s, BestOffsetPrefetcher::shape)
-            }
-            (AnyPrefetcher::Ampm(p), PrefetcherState::Ampm(s)) => {
-                restore(p, s, AmpmPrefetcher::shape)
             }
             (live, _) => Err(format!(
                 "state is a '{}' prefetcher but the config builds '{}'",

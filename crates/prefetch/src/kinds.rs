@@ -4,8 +4,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    AmpmPrefetcher, AnyPrefetcher, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher,
-    NullPrefetcher, SequentialPrefetcher, StridePrefetcher, TifsPrefetcher,
+    AnyPrefetcher, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher, NullPrefetcher,
+    SequentialPrefetcher, StridePrefetcher, TifsPrefetcher,
 };
 
 /// Instruction-prefetcher selection (Table 3).
@@ -66,8 +66,6 @@ pub enum DataPrefetcherKind {
     Ghb,
     /// Best-offset.
     BestOffset,
-    /// Access-map pattern matching (§8.1 extra, beyond Table 4).
-    Ampm,
 }
 
 impl DataPrefetcherKind {
@@ -85,7 +83,6 @@ impl DataPrefetcherKind {
             DataPrefetcherKind::Stride => "Stride",
             DataPrefetcherKind::Ghb => "GHB",
             DataPrefetcherKind::BestOffset => "BO",
-            DataPrefetcherKind::Ampm => "AMPM",
         }
     }
 
@@ -99,7 +96,6 @@ impl DataPrefetcherKind {
             DataPrefetcherKind::BestOffset => {
                 AnyPrefetcher::BestOffset(BestOffsetPrefetcher::new(degree))
             }
-            DataPrefetcherKind::Ampm => AnyPrefetcher::Ampm(AmpmPrefetcher::new(degree)),
         }
     }
 }
@@ -124,7 +120,6 @@ mod tests {
             DataPrefetcherKind::BestOffset.build_any(2).name(),
             "best-offset"
         );
-        assert_eq!(DataPrefetcherKind::Ampm.build_any(2).name(), "ampm");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! | [`StridePrefetcher`]     | default data prefetcher        | `stride` |
 //! | [`GhbPrefetcher`]        | Table 4 alternative (G/DC)     | `ghb` |
 //! | [`BestOffsetPrefetcher`] | Table 4 alternative            | `best_offset` |
-//! | [`AmpmPrefetcher`]       | §8.1 extra (access-map pattern matching) | `ampm` |
 //!
 //! Every prefetcher implements [`Prefetcher`]: it observes the demand
 //! access stream and emits up to [`Prefetcher::max_degree`] candidate
@@ -23,7 +22,6 @@
 //! All prefetcher state is volatile: [`Prefetcher::power_loss`] models the
 //! SRAM tables being wiped by an outage.
 
-mod ampm;
 mod any;
 mod best_offset;
 mod event;
@@ -36,7 +34,6 @@ mod state;
 mod stride;
 mod tifs;
 
-pub use ampm::AmpmPrefetcher;
 pub use any::AnyPrefetcher;
 pub use best_offset::BestOffsetPrefetcher;
 pub use event::{AccessEvent, AccessOutcome};

@@ -4,7 +4,7 @@
 //! [`AnyPrefetcher`](crate::AnyPrefetcher)'s
 //! complete internal state, produced and consumed through its
 //! [`Persist`](ehs_mem::Persist) impl. The enum is externally tagged, so
-//! a snapshot records *which* of the 8 kinds (7 prefetchers plus none)
+//! a snapshot records *which* of the 7 kinds (6 prefetchers plus none)
 //! was running as well as its tables.
 //!
 //! It is a separate enum rather than `AnyPrefetcher` itself because the
@@ -16,8 +16,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    AmpmPrefetcher, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher, SequentialPrefetcher,
-    StridePrefetcher, TifsPrefetcher,
+    BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher, SequentialPrefetcher, StridePrefetcher,
+    TifsPrefetcher,
 };
 
 /// The fields of a prefetcher that construction fixes and no run
@@ -43,8 +43,6 @@ pub enum PrefetcherState {
     Ghb(GhbPrefetcher),
     /// Best-offset data prefetcher.
     BestOffset(BestOffsetPrefetcher),
-    /// Access-map pattern-matching data prefetcher.
-    Ampm(AmpmPrefetcher),
 }
 
 impl PrefetcherState {
@@ -60,7 +58,6 @@ impl PrefetcherState {
             PrefetcherState::Stride(_) => "stride",
             PrefetcherState::Ghb(_) => "ghb",
             PrefetcherState::BestOffset(_) => "best-offset",
-            PrefetcherState::Ampm(_) => "ampm",
         }
     }
 }
@@ -88,7 +85,7 @@ mod tests {
 
     /// One prefetcher of every kind, built as the configuration builds
     /// it (degree 2, default tables).
-    fn every_kind() -> [AnyPrefetcher; 8] {
+    fn every_kind() -> [AnyPrefetcher; 7] {
         [
             AnyPrefetcher::Null(NullPrefetcher::new()),
             AnyPrefetcher::Sequential(SequentialPrefetcher::new(2)),
@@ -97,7 +94,6 @@ mod tests {
             AnyPrefetcher::Stride(StridePrefetcher::new(2)),
             AnyPrefetcher::Ghb(GhbPrefetcher::new(2)),
             AnyPrefetcher::BestOffset(BestOffsetPrefetcher::new(2)),
-            AnyPrefetcher::Ampm(AmpmPrefetcher::new(2)),
         ]
     }
 
@@ -166,11 +162,6 @@ mod tests {
             (
                 AnyPrefetcher::BestOffset(BestOffsetPrefetcher::new(1)),
                 "degree",
-            ),
-            (AnyPrefetcher::Ampm(AmpmPrefetcher::new(1)), "degree"),
-            (
-                AnyPrefetcher::Ampm(AmpmPrefetcher::with_zones(2, 32)),
-                "index_mask",
             ),
         ];
         for (other, field) in cases {

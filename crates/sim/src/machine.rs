@@ -219,8 +219,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// A [`ConfigError`] when `cfg` fails [`SimConfig::validate`] or
-    /// its NVM cannot hold the program image.
+    /// A [`ConfigError`] when `cfg` fails [`SimConfig::validate`], its
+    /// NVM cannot hold the program image, or its JSONL trace file
+    /// cannot be created.
     pub fn try_with_trace(
         cfg: SimConfig,
         program: &Program,
@@ -234,6 +235,8 @@ impl Machine {
                 program.image_end()
             )));
         }
+        let tracer =
+            Tracer::from_mode(&cfg.trace).map_err(|e| ConfigError(format!("trace: {e}")))?;
         let build_path = |mode: &PrefetchMode, is_inst: bool| -> MemPath {
             let pf = match mode {
                 PrefetchMode::Off => AnyPrefetcher::Null(ehs_prefetch::NullPrefetcher::new()),
@@ -295,7 +298,7 @@ impl Machine {
             pending_draw_nj: 0.0,
             leak_nj,
             cand: Vec::with_capacity(8),
-            tracer: Tracer::from_mode(&cfg.trace),
+            tracer,
             mark: CycleMark::default(),
             fault: FaultPlan::default(),
             phase: Phase::Run,
@@ -1697,6 +1700,24 @@ mod tests {
         let err = build(|c, _| c.latencies[2] = 0).unwrap_err();
         assert!(err.0.contains("latencies"), "{err}");
         assert_eq!(build(|c, end| c.nvm.size_bytes = end), Ok(()));
+    }
+
+    /// A JSONL trace path that cannot be created is a config error
+    /// naming `trace` and the path, not a panic.
+    #[test]
+    fn try_with_trace_rejects_an_uncreatable_trace_file() {
+        let dir = std::env::temp_dir().join(format!("ehs-no-such-dir-{}", std::process::id()));
+        let path = dir.join("run.jsonl").display().to_string();
+        let cfg =
+            SimConfig::default().with_trace_mode(crate::TraceMode::Jsonl { path: path.clone() });
+        let err = Machine::try_with_trace(cfg, &tiny_program(), PowerTrace::constant_mw(3.0, 16))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            err.0.starts_with("trace: ") && err.0.contains(&path),
+            "{err}"
+        );
+        assert!(!dir.exists());
     }
 
     #[test]

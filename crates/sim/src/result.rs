@@ -100,28 +100,9 @@ impl SimResult {
         self.dbuf.accuracy()
     }
 
-    /// Prefetch coverage for the instruction stream: useful prefetches
-    /// over useful prefetches plus demand NVM reads.
-    pub fn inst_prefetch_coverage(&self) -> f64 {
-        coverage(self.ibuf.useful, self.stats.i_demand_reads)
-    }
-
-    /// Prefetch coverage for the data stream.
-    pub fn data_prefetch_coverage(&self) -> f64 {
-        coverage(self.dbuf.useful, self.stats.d_demand_reads)
-    }
-
     /// Total prefetch operations issued (NVM prefetch reads).
     pub fn prefetch_operations(&self) -> u64 {
         self.nvm.prefetch_reads
-    }
-}
-
-fn coverage(useful: u64, demand: u64) -> f64 {
-    if useful + demand == 0 {
-        0.0
-    } else {
-        useful as f64 / (useful + demand) as f64
     }
 }
 
@@ -140,12 +121,5 @@ mod tests {
         assert!((s.istall_fraction() - 0.25).abs() < 1e-12);
         assert!((s.dstall_fraction() - 0.10).abs() < 1e-12);
         assert_eq!(SimStats::default().istall_fraction(), 0.0);
-    }
-
-    #[test]
-    fn coverage_limits() {
-        assert_eq!(super::coverage(0, 0), 0.0);
-        assert_eq!(super::coverage(10, 0), 1.0);
-        assert!((super::coverage(10, 30) - 0.25).abs() < 1e-12);
     }
 }

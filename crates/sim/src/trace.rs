@@ -426,17 +426,19 @@ impl Tracer {
 
     /// Builds the tracer a [`TraceMode`] asks for.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a JSONL trace file cannot be created.
-    pub fn from_mode(mode: &TraceMode) -> Tracer {
-        match mode {
+    /// A message naming the path when a JSONL trace file cannot be
+    /// created.
+    pub fn from_mode(mode: &TraceMode) -> Result<Tracer, String> {
+        Ok(match mode {
             TraceMode::Off => Tracer::disabled(),
             TraceMode::Counting => Tracer::counting(),
             TraceMode::Jsonl { path } => Tracer::with_sink(Box::new(
-                JsonlSink::create(std::path::Path::new(path)).expect("create trace file"),
+                JsonlSink::create(std::path::Path::new(path))
+                    .map_err(|e| format!("cannot create trace file {path}: {e}"))?,
             )),
-        }
+        })
     }
 
     /// `true` when events are being recorded. Emission sites that need

@@ -276,7 +276,6 @@ fn draw_config(d: &mut Draw, program: &Program) -> SimConfig {
             DataPrefetcherKind::Stride,
             DataPrefetcherKind::Ghb,
             DataPrefetcherKind::BestOffset,
-            DataPrefetcherKind::Ampm,
         ])
     );
     maybe!(prefetch_degree = d.u32());

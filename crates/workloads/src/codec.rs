@@ -9,18 +9,10 @@
 //!   autocorrelations per 160-sample frame; the decoder runs long-term
 //!   prediction against a history buffer.
 
+use crate::{checksum_fold, lcg_next};
+
 const LCG_MUL: u32 = 1664525;
 const LCG_INC: u32 = 1013904223;
-
-#[inline]
-fn lcg(x: u32) -> u32 {
-    x.wrapping_mul(LCG_MUL).wrapping_add(LCG_INC)
-}
-
-#[inline]
-fn fold(cs: u32, v: u32) -> u32 {
-    cs.wrapping_mul(31).wrapping_add(v)
-}
 
 /// The standard IMA ADPCM step-size table.
 const STEP_TABLE: [i32; 89] = [
@@ -164,7 +156,7 @@ pub fn ref_adpcme() -> u32 {
     let (mut valpred, mut index) = (0i32, 0i32);
     let mut cs = 0u32;
     for _ in 0..ADPCM_N {
-        x = lcg(x);
+        x = lcg_next(x);
         let s = (x >> 16) as u16 as i16 as i32;
         let step = STEP_TABLE[index as usize];
         let mut delta = s - valpred;
@@ -199,7 +191,7 @@ pub fn ref_adpcme() -> u32 {
         valpred = valpred.clamp(-32768, 32767);
         code |= sign;
         index = (index + INDEX_TABLE[code as usize]).clamp(0, 88);
-        cs = fold(cs, code as u32);
+        cs = checksum_fold(cs, code as u32);
     }
     cs
 }
@@ -312,7 +304,7 @@ pub fn ref_adpcmd() -> u32 {
     let (mut valpred, mut index) = (0i32, 0i32);
     let mut cs = 0u32;
     for _ in 0..ADPCM_N {
-        x = lcg(x);
+        x = lcg_next(x);
         let code = ((x >> 16) & 15) as i32;
         let step = STEP_TABLE[index as usize];
         index = (index + INDEX_TABLE[code as usize]).clamp(0, 88);
@@ -332,7 +324,7 @@ pub fn ref_adpcmd() -> u32 {
             valpred + vpdiff
         };
         valpred = valpred.clamp(-32768, 32767);
-        cs = fold(cs, (valpred & 0xffff) as u32);
+        cs = checksum_fold(cs, (valpred & 0xffff) as u32);
     }
     cs
 }
@@ -531,7 +523,7 @@ fn ref_g721(encode: bool) -> u32 {
     let (mut p1, mut p2, mut a, mut step) = (0i32, 0i32, 64i32, 16i32);
     let mut cs = 0u32;
     for _ in 0..G721_N {
-        x = lcg(x);
+        x = lcg_next(x);
         let d = p1 - p2;
         let pred = p1 + ((a.wrapping_mul(d)) >> 8);
         let (q, err_neg) = if encode {
@@ -565,7 +557,7 @@ fn ref_g721(encode: bool) -> u32 {
         } else {
             (rec & 0xffff) as u32
         };
-        cs = fold(cs, v);
+        cs = checksum_fold(cs, v);
     }
     cs
 }
@@ -678,7 +670,7 @@ pub fn ref_gsme() -> u32 {
     for _ in 0..GSM_FRAMES {
         let sc: Vec<i32> = (0..GSM_FRAME_LEN)
             .map(|_| {
-                x = lcg(x);
+                x = lcg_next(x);
                 // ((i16 sample) << 16) >> 20 == sample >> 4 with sign.
                 (((x >> 16) as u16 as i16 as i32) << 16) >> 20
             })
@@ -693,7 +685,7 @@ pub fn ref_gsme() -> u32 {
                 norm = (acc >> 6) + 1;
             }
             let r = acc.wrapping_div(norm);
-            cs = fold(cs, r as u32);
+            cs = checksum_fold(cs, r as u32);
         }
     }
     cs
@@ -797,16 +789,16 @@ pub fn ref_gsmd() -> u32 {
     let n = ((GSM_FRAMES + 1) * GSM_FRAME_LEN) as usize;
     let mut out = vec![0i32; n];
     for f in 0..GSM_FRAMES as usize {
-        x = lcg(x);
+        x = lcg_next(x);
         let lag = (40 + ((x >> 16) & 63)) as usize;
         for i in 0..GSM_FRAME_LEN as usize {
-            x = lcg(x);
+            x = lcg_next(x);
             let r = (((x >> 16) as u16 as i16 as i32) << 16) >> 18;
             let idx = f * GSM_FRAME_LEN as usize + GSM_FRAME_LEN as usize + i;
             let past = out[idx - lag];
             let v = (r + ((past.wrapping_mul(GSM_B)) >> 8)).clamp(-30000, 30000);
             out[idx] = v;
-            cs = fold(cs, (v & 0xffff) as u32);
+            cs = checksum_fold(cs, (v & 0xffff) as u32);
         }
     }
     cs

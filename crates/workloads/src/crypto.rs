@@ -13,18 +13,10 @@
 //!   matching pegwit's very high DCache stall share in the paper's
 //!   Fig. 2.
 
+use crate::{checksum_fold, lcg_next};
+
 const LCG_MUL: u32 = 1664525;
 const LCG_INC: u32 = 1013904223;
-
-#[inline]
-fn lcg(x: u32) -> u32 {
-    x.wrapping_mul(LCG_MUL).wrapping_add(LCG_INC)
-}
-
-#[inline]
-fn fold(cs: u32, v: u32) -> u32 {
-    cs.wrapping_mul(31).wrapping_add(v)
-}
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -204,7 +196,7 @@ fn ref_rijndael(encrypt: bool) -> u32 {
     for _ in 0..RIJ_BLOCKS {
         let mut state = [0u8; 16];
         for b in state.iter_mut() {
-            x = lcg(x);
+            x = lcg_next(x);
             *b = ((x >> 16) & 255) as u8;
         }
         for round in 0..RIJ_ROUNDS {
@@ -219,7 +211,7 @@ fn ref_rijndael(encrypt: bool) -> u32 {
             }
         }
         for b in state {
-            cs = fold(cs, b as u32);
+            cs = checksum_fold(cs, b as u32);
         }
     }
     cs
@@ -360,12 +352,12 @@ fn ref_pegwit(encrypt: bool) -> u32 {
     let mut x = seed;
     let mut tab = vec![0u32; PEG_TABLE_WORDS as usize];
     for t in tab.iter_mut() {
-        x = lcg(x);
+        x = lcg_next(x);
         *t = x;
     }
     let mut state = [0u32; 16];
     for s in state.iter_mut() {
-        x = lcg(x);
+        x = lcg_next(x);
         *s = x;
     }
     let mut cs = 0u32;
@@ -375,7 +367,7 @@ fn ref_pegwit(encrypt: bool) -> u32 {
             let idx = ((state[i] ^ state[nb]) & (PEG_TABLE_WORDS - 1)) as usize;
             state[i] = state[i].wrapping_mul(mult).wrapping_add(tab[idx]);
         }
-        cs = fold(cs, state[(round & 15) as usize]);
+        cs = checksum_fold(cs, state[(round & 15) as usize]);
     }
     cs
 }

@@ -9,18 +9,10 @@
 //! uses a 3×3 mask on a 64×64 image. 2-D strided neighbour access is the
 //! kernels' defining memory pattern.
 
+use crate::{checksum_fold, lcg_next};
+
 const LCG_MUL: u32 = 1664525;
 const LCG_INC: u32 = 1013904223;
-
-#[inline]
-fn lcg(x: u32) -> u32 {
-    x.wrapping_mul(LCG_MUL).wrapping_add(LCG_INC)
-}
-
-#[inline]
-fn fold(cs: u32, v: u32) -> u32 {
-    cs.wrapping_mul(31).wrapping_add(v)
-}
 
 const SIM_THRESHOLD: i32 = 27;
 
@@ -200,7 +192,7 @@ fn ref_susan(p: &SusanParams) -> u32 {
     let mut x = p.seed;
     let img: Vec<u8> = (0..dim * dim)
         .map(|_| {
-            x = lcg(x);
+            x = lcg_next(x);
             ((x >> 16) & 255) as u8
         })
         .collect();
@@ -218,7 +210,7 @@ fn ref_susan(p: &SusanParams) -> u32 {
                 }
             }
             let resp = p.g.saturating_sub(n);
-            cs = fold(cs, resp);
+            cs = checksum_fold(cs, resp);
         }
     }
     cs

@@ -84,7 +84,7 @@ pub fn ref_basicm() -> u32 {
     let mut x = SEED;
     let mut cs: u32 = 0;
     for i in 1..=N {
-        x = x.wrapping_mul(LCG_MUL).wrapping_add(LCG_INC);
+        x = crate::lcg_next(x);
         let v = x >> 16;
         // Newton isqrt, fixed iterations, matching the assembly exactly.
         let mut g: u32 = 0;
@@ -106,7 +106,7 @@ pub fn ref_basicm() -> u32 {
             a = b;
             b = t;
         }
-        cs = cs.wrapping_mul(31).wrapping_add(p ^ g ^ a);
+        cs = crate::checksum_fold(cs, p ^ g ^ a);
     }
     cs
 }

@@ -1,18 +1,10 @@
 //! `qsort`, `strings`, `patricia` — sorting, searching and
 //! pointer-chasing kernels (MiBench stand-ins).
 
+use crate::{checksum_fold, lcg_next};
+
 const LCG_MUL: u32 = 1664525;
 const LCG_INC: u32 = 1013904223;
-
-#[inline]
-fn lcg(x: u32) -> u32 {
-    x.wrapping_mul(LCG_MUL).wrapping_add(LCG_INC)
-}
-
-#[inline]
-fn fold(cs: u32, v: u32) -> u32 {
-    cs.wrapping_mul(31).wrapping_add(v)
-}
 
 // ---------------------------------------------------------------------
 // qsort
@@ -140,12 +132,12 @@ pub fn ref_qsort() -> u32 {
     let mut x = QSORT_SEED;
     let mut vals: Vec<u32> = (0..QSORT_N)
         .map(|_| {
-            x = lcg(x);
+            x = lcg_next(x);
             x >> 16
         })
         .collect();
     vals.sort_unstable();
-    vals.into_iter().fold(0u32, fold)
+    vals.into_iter().fold(0u32, checksum_fold)
 }
 
 // ---------------------------------------------------------------------
@@ -247,7 +239,7 @@ pub fn ref_strings() -> u32 {
     let mut x = STR_SEED;
     let hay: Vec<u8> = (0..HAY_LEN)
         .map(|_| {
-            x = lcg(x);
+            x = lcg_next(x);
             (((x >> 16) & 7) + 97) as u8
         })
         .collect();
@@ -260,7 +252,7 @@ pub fn ref_strings() -> u32 {
                 count += 1;
             }
         }
-        cs = fold(cs, count);
+        cs = checksum_fold(cs, count);
     }
     cs
 }
@@ -410,7 +402,7 @@ pub fn ref_patricia() -> u32 {
     let mut keys = Vec::with_capacity(TRIE_KEYS as usize);
 
     for _ in 0..TRIE_KEYS {
-        x = lcg(x);
+        x = lcg_next(x);
         let key = x >> 16;
         keys.push(key);
         let mut p = 0usize;
@@ -430,7 +422,7 @@ pub fn ref_patricia() -> u32 {
         let key = if j % 2 == 0 {
             keys[((j / 2) & (TRIE_KEYS - 1)) as usize]
         } else {
-            x = lcg(x);
+            x = lcg_next(x);
             x >> 16
         };
         let mut p = 0usize;
@@ -451,7 +443,7 @@ pub fn ref_patricia() -> u32 {
         } else {
             steps * 2 + nodes[p].present as u32
         };
-        cs = fold(cs, v);
+        cs = checksum_fold(cs, v);
     }
     cs
 }

@@ -13,18 +13,10 @@
 //!   64×64 image (EPIC's decompression core): row and column passes at
 //!   strides 4 and 256 bytes.
 
+use crate::{checksum_fold, lcg_next};
+
 const LCG_MUL: u32 = 1664525;
 const LCG_INC: u32 = 1013904223;
-
-#[inline]
-fn lcg(x: u32) -> u32 {
-    x.wrapping_mul(LCG_MUL).wrapping_add(LCG_INC)
-}
-
-#[inline]
-fn fold(cs: u32, v: u32) -> u32 {
-    cs.wrapping_mul(31).wrapping_add(v)
-}
 
 // ---------------------------------------------------------------------
 // fft / ifft
@@ -265,10 +257,10 @@ fn ref_fft_common(inverse: bool) -> u32 {
     let mut re = vec![0i32; n];
     let mut im = vec![0i32; n];
     for i in 0..n {
-        x = lcg(x);
+        x = lcg_next(x);
         re[i] = (((x >> 16) & 2047) as i32) - 1024;
         if inverse {
-            x = lcg(x);
+            x = lcg_next(x);
             im[i] = (((x >> 16) & 2047) as i32) - 1024;
         }
     }
@@ -311,7 +303,7 @@ fn ref_fft_common(inverse: bool) -> u32 {
     }
     let mut cs = 0u32;
     for i in 0..n {
-        cs = fold(cs, ((re[i] ^ im[i]) & 0xffff) as u32);
+        cs = checksum_fold(cs, ((re[i] ^ im[i]) & 0xffff) as u32);
     }
     cs
 }
@@ -507,7 +499,7 @@ pub fn ref_jpegd() -> u32 {
     for _ in 0..JPEG_BLOCKS {
         let mut blk = [0i32; 64];
         for (i, b) in blk.iter_mut().enumerate() {
-            x = lcg(x);
+            x = lcg_next(x);
             let c = (((x >> 16) & 1023) as i32) - 512;
             *b = c.wrapping_mul(QTAB[i]);
         }
@@ -519,7 +511,7 @@ pub fn ref_jpegd() -> u32 {
         }
         for v in blk {
             let p = ((v >> 6) + 128).clamp(0, 255);
-            cs = fold(cs, p as u32);
+            cs = checksum_fold(cs, p as u32);
         }
     }
     cs
@@ -670,7 +662,7 @@ pub fn ref_unepic() -> u32 {
     let mut x = EPIC_SEED;
     let mut img = vec![0i32; dim * dim];
     for p in img.iter_mut() {
-        x = lcg(x);
+        x = lcg_next(x);
         *p = (((x >> 16) & 2047) as i32) - 1024;
     }
     fn ipass(img: &mut [i32], base: usize, half: usize, stride: usize) {
@@ -697,7 +689,7 @@ pub fn ref_unepic() -> u32 {
     }
     let mut cs = 0u32;
     for v in img {
-        cs = fold(cs, (v & 0xffff) as u32);
+        cs = checksum_fold(cs, (v & 0xffff) as u32);
     }
     cs
 }

@@ -270,7 +270,6 @@ proptest! {
             DataPrefetcherKind::Stride,
             DataPrefetcherKind::Ghb,
             DataPrefetcherKind::BestOffset,
-            DataPrefetcherKind::Ampm,
         ] {
             assert_power_loss_wipes(&|| kind.build_any(degree), &warmup, &probe);
         }
@@ -299,7 +298,6 @@ proptest! {
             Just(DataPrefetcherKind::Stride),
             Just(DataPrefetcherKind::Ghb),
             Just(DataPrefetcherKind::BestOffset),
-            Just(DataPrefetcherKind::Ampm),
         ],
         policy in 0u8..5,
         split in 2_000u64..150_000,

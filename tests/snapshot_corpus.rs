@@ -186,3 +186,16 @@ fn config_the_builder_rejects_is_rejected_at_resume() {
     .expect("a u64::MAX latency must be rejected");
     assert!(err.to_string().contains("latencies"), "{err}");
 }
+
+/// A snapshot naming a data prefetcher this build does not model (here
+/// a kind outside the paper's Table 4) is an error from
+/// `Snapshot::from_json`, not a panic and not a silent fallback.
+#[test]
+fn unknown_data_prefetcher_kind_is_rejected_at_parse() {
+    let path = snapcorpus::corpus_dir().join("qsort-baseline.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let field = "\"data_prefetcher\": \"stride\"";
+    assert_eq!(text.matches(field).count(), 1, "{}", path.display());
+    let edited = text.replace(field, "\"data_prefetcher\": \"ampm\"");
+    assert!(Snapshot::from_json(&edited).is_err());
+}

@@ -139,7 +139,6 @@ proptest! {
             Just(DataPrefetcherKind::Stride),
             Just(DataPrefetcherKind::Ghb),
             Just(DataPrefetcherKind::BestOffset),
-            Just(DataPrefetcherKind::Ampm),
         ],
         policy in 0u8..5,
         raw_cuts in proptest::collection::vec(2_000u64..220_000, 1..6),
@@ -299,7 +298,11 @@ fn corrupt_component_shapes_are_rejected_at_resume() {
         ),
         (InstPrefetcherKind::Markov, DataPrefetcherKind::Ghb, 2),
         (InstPrefetcherKind::Tifs, DataPrefetcherKind::BestOffset, 3),
-        (InstPrefetcherKind::Sequential, DataPrefetcherKind::Ampm, 4),
+        (
+            InstPrefetcherKind::Sequential,
+            DataPrefetcherKind::Stride,
+            4,
+        ),
     ];
     let program = ehs_repro::workloads::by_name("gsmd").unwrap().program();
     let trace = brownout_trace();
@@ -342,7 +345,6 @@ fn corrupt_component_shapes_are_rejected_at_resume() {
         "stride",
         "ghb",
         "best-offset",
-        "ampm",
         "ipex",
         "predictive",
         "hysteresis",
