@@ -200,62 +200,8 @@ fn attribution_table(events: &[SimEvent]) {
 /// same run; any mismatch is a simulator bug.
 fn reconcile(c: &EventCounts, r: &SimResult) {
     println!("\n-- trace/aggregate reconciliation --");
-    let ipex_throttled = r.ipex_i.map_or(0, |s| s.throttled) + r.ipex_d.map_or(0, |s| s.throttled);
-    let ipex_reissued = r.ipex_i.map_or(0, |s| s.reissued) + r.ipex_d.map_or(0, |s| s.reissued);
-    let checks: [(&str, u64, u64); 10] = [
-        (
-            "prefetch-issued == buffer inserts",
-            c.prefetch_issued,
-            r.ibuf.inserted + r.dbuf.inserted,
-        ),
-        (
-            "prefetch-issued == NVM prefetch reads",
-            c.prefetch_issued,
-            r.nvm.prefetch_reads,
-        ),
-        (
-            "buffer-hit == useful prefetches",
-            c.buffer_hit,
-            r.ibuf.useful + r.dbuf.useful,
-        ),
-        (
-            "late-prefetch == duplicates suppressed",
-            c.late_prefetch,
-            r.ibuf.duplicate_suppressed + r.dbuf.duplicate_suppressed,
-        ),
-        (
-            "evicted-unused == buffer evictions",
-            c.evicted_unused,
-            r.ibuf.evicted_unused + r.dbuf.evicted_unused,
-        ),
-        (
-            "lost-unused == buffer losses",
-            c.lost_unused,
-            r.ibuf.lost_unused + r.dbuf.lost_unused,
-        ),
-        (
-            "prefetch-throttled == IPEX throttled",
-            c.prefetch_throttled,
-            ipex_throttled,
-        ),
-        (
-            "prefetch-reissued == IPEX reissued",
-            c.prefetch_reissued,
-            ipex_reissued,
-        ),
-        (
-            "writeback+checkpoints == NVM writes",
-            c.writeback + r.stats.checkpoint_blocks,
-            r.nvm.writes,
-        ),
-        (
-            "restore == power cycles - 1",
-            c.restore,
-            r.stats.power_cycles - 1,
-        ),
-    ];
     let mut ok = true;
-    for (what, lhs, rhs) in checks {
+    for (what, lhs, rhs) in c.reconcile(r) {
         let mark = if lhs == rhs { "ok " } else { "FAIL" };
         ok &= lhs == rhs;
         println!("{mark}  {what}: {lhs} vs {rhs}");

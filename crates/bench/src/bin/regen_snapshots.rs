@@ -1,6 +1,6 @@
 //! Regenerates the golden-state snapshot corpus.
 //!
-//! Runs each of the ten `ehs_verify::snapcorpus` entries from cold to
+//! Runs each of the fifteen `ehs_verify::snapcorpus` entries from cold to
 //! the fixed capture cycle and rewrites
 //! `tests/corpus/snapshots/*.json`. Generation is fully deterministic,
 //! so rerunning without simulator changes is a no-op (byte-identical

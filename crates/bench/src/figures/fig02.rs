@@ -1,11 +1,19 @@
 //! Figure 2: fraction of on-time stalled on ICache/DCache misses per
 //! application (prefetchers disabled, default 2 kB caches).
 
+use std::collections::BTreeMap;
+
+use ehs_sim::prelude::*;
 use serde::Serialize;
 
-use super::{nopf_cfg, rfhome, suite_points, Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
+use super::{nopf_cfg, rfhome, Figure, Headline, RenderCx};
 use crate::{banner, pct};
+
+/// The mean of one per-app stall fraction over a suite, summed in the
+/// suite map's (name) order.
+fn mean(suite: &BTreeMap<&'static str, SimResult>, fraction: fn(&SimStats) -> f64) -> f64 {
+    suite.values().map(|r| fraction(&r.stats)).sum::<f64>() / suite.len() as f64
+}
 
 pub struct Fig02;
 
@@ -22,34 +30,20 @@ impl Figure for Fig02 {
         "pipeline-stall breakdown (no prefetchers), RFHome"
     }
 
-    fn points(&self) -> Vec<SimPoint> {
-        suite_points(&nopf_cfg(), &rfhome())
-    }
-
     fn headlines(&self) -> Vec<Headline> {
+        let mk = |label: &str, eval| Headline {
+            label: label.into(),
+            base_trace: rfhome(),
+            configs: vec![nopf_cfg()],
+            eval,
+        };
         vec![
-            Headline {
-                label: "mean_istall_fraction".into(),
-                base_trace: rfhome(),
-                configs: vec![nopf_cfg()],
-                eval: |s| {
-                    s[0].values()
-                        .map(|r| r.stats.istall_fraction())
-                        .sum::<f64>()
-                        / s[0].len() as f64
-                },
-            },
-            Headline {
-                label: "mean_dstall_fraction".into(),
-                base_trace: rfhome(),
-                configs: vec![nopf_cfg()],
-                eval: |s| {
-                    s[0].values()
-                        .map(|r| r.stats.dstall_fraction())
-                        .sum::<f64>()
-                        / s[0].len() as f64
-                },
-            },
+            mk("mean_istall_fraction", |s| {
+                mean(&s[0], SimStats::istall_fraction)
+            }),
+            mk("mean_dstall_fraction", |s| {
+                mean(&s[0], SimStats::dstall_fraction)
+            }),
         ]
     }
 
@@ -79,13 +73,11 @@ impl Figure for Fig02 {
             );
             rows.push(row);
         }
-        let gi = rows.iter().map(|r| r.istall).sum::<f64>() / rows.len() as f64;
-        let gd = rows.iter().map(|r| r.dstall).sum::<f64>() / rows.len() as f64;
         println!(
             "{:10} ICache {:>8}  DCache {:>8}   (paper: 23.45% / 18.64%)",
             "mean",
-            pct(gi),
-            pct(gd)
+            pct(mean(&res, SimStats::istall_fraction)),
+            pct(mean(&res, SimStats::dstall_fraction))
         );
         cx.write(self.file_id(), &rows);
     }

@@ -6,7 +6,6 @@ use serde::Serialize;
 
 use super::{Figure, RenderCx};
 use crate::banner;
-use crate::sweep::SimPoint;
 
 pub struct Fig04;
 
@@ -21,10 +20,6 @@ impl Figure for Fig04 {
 
     fn title(&self) -> &'static str {
         "minimum useful-prefetch probability (Eq. 1-4)"
-    }
-
-    fn points(&self) -> Vec<SimPoint> {
-        Vec::new() // purely analytic
     }
 
     fn render(&self, cx: &RenderCx<'_>) {

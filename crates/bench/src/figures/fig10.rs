@@ -1,60 +1,67 @@
-//! Figure 10: per-application speedup over the conventional-prefetcher
-//! baseline (RFHome) for no-prefetcher, IPEX on the data prefetcher, and
-//! IPEX on both prefetchers.
+//! Figures 10 and 11: per-application speedup over the
+//! conventional-prefetcher baseline (RFHome) for no-prefetcher, IPEX on
+//! the data prefetcher, and IPEX on both prefetchers — Figure 11 on the
+//! *ideal* NVSRAMCache (zero-cost backup/restore), the upper bound for
+//! cache-equipped EHSs.
 
+use ehs_sim::SimConfig;
 use serde::Serialize;
 
-use super::{base_cfg, ipex_both_cfg, ipex_data_cfg, nopf_cfg, rfhome, suite_points};
+use super::{base_cfg, ipex_both_cfg, ipex_data_cfg, nopf_cfg, rfhome};
 use super::{speedup_headline, Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
 use crate::{banner, speedups};
 
 #[derive(Serialize)]
-pub(super) struct Row {
-    pub app: String,
-    pub no_prefetch: f64,
-    pub ipex_data: f64,
-    pub ipex_both: f64,
+struct Row {
+    app: String,
+    no_prefetch: f64,
+    ipex_data: f64,
+    ipex_both: f64,
 }
 
-pub struct Fig10;
+/// The Figure-10 comparison with every configuration passed through
+/// `variant`.
+pub struct SpeedupFigure {
+    short: &'static str,
+    file: &'static str,
+    title: &'static str,
+    variant: fn(SimConfig) -> SimConfig,
+    footer: &'static str,
+}
 
-impl Figure for Fig10 {
+impl SpeedupFigure {
+    /// Baseline, no-prefetcher, IPEX(D) and IPEX(I+D), in that order.
+    fn configs(&self) -> [SimConfig; 4] {
+        [base_cfg(), nopf_cfg(), ipex_data_cfg(), ipex_both_cfg()].map(self.variant)
+    }
+}
+
+impl Figure for SpeedupFigure {
     fn id(&self) -> &'static str {
-        "fig10"
+        self.short
     }
 
     fn file_id(&self) -> &'static str {
-        "fig10_speedup_baseline"
+        self.file
     }
 
     fn title(&self) -> &'static str {
-        "speedup over NVSRAMCache baseline, RFHome"
-    }
-
-    fn points(&self) -> Vec<SimPoint> {
-        let trace = rfhome();
-        [base_cfg(), nopf_cfg(), ipex_data_cfg(), ipex_both_cfg()]
-            .iter()
-            .flat_map(|c| suite_points(c, &trace))
-            .collect()
+        self.title
     }
 
     fn headlines(&self) -> Vec<Headline> {
+        let [base, nopf, ipex_d, ipex] = self.configs();
         vec![
-            speedup_headline("no_prefetch_gmean", rfhome(), base_cfg(), nopf_cfg()),
-            speedup_headline("ipex_data_gmean", rfhome(), base_cfg(), ipex_data_cfg()),
-            speedup_headline("ipex_both_gmean", rfhome(), base_cfg(), ipex_both_cfg()),
+            speedup_headline("no_prefetch_gmean", rfhome(), base.clone(), nopf),
+            speedup_headline("ipex_data_gmean", rfhome(), base.clone(), ipex_d),
+            speedup_headline("ipex_both_gmean", rfhome(), base, ipex),
         ]
     }
 
     fn render(&self, cx: &RenderCx<'_>) {
-        banner(self.id(), self.title());
+        banner(self.short, self.title);
         let trace = rfhome();
-        let base = cx.suite(&base_cfg(), &trace);
-        let nopf = cx.suite(&nopf_cfg(), &trace);
-        let ipex_d = cx.suite(&ipex_data_cfg(), &trace);
-        let ipex = cx.suite(&ipex_both_cfg(), &trace);
+        let [base, nopf, ipex_d, ipex] = self.configs().map(|c| cx.suite(&c, &trace));
 
         let (r0, g0) = speedups(&base, &nopf);
         let (r1, g1) = speedups(&base, &ipex_d);
@@ -77,13 +84,31 @@ impl Figure for Fig10 {
             });
         }
         println!("{:10} {:>8.3} {:>8.3} {:>8.3}", "gmean", g0, g1, g2);
-        println!("(paper gmeans: 0.953 / 1.037 / 1.090 relative to baseline)");
+        println!("{}", self.footer);
         rows.push(Row {
             app: "gmean".into(),
             no_prefetch: g0,
             ipex_data: g1,
             ipex_both: g2,
         });
-        cx.write(self.file_id(), &rows);
+        cx.write(self.file, &rows);
     }
 }
+
+/// Figure 10: against the NVSRAMCache baseline.
+pub static FIG10: SpeedupFigure = SpeedupFigure {
+    short: "fig10",
+    file: "fig10_speedup_baseline",
+    title: "speedup over NVSRAMCache baseline, RFHome",
+    variant: |c| c,
+    footer: "(paper gmeans: 0.953 / 1.037 / 1.090 relative to baseline)",
+};
+
+/// Figure 11: against the ideal NVSRAMCache.
+pub static FIG11: SpeedupFigure = SpeedupFigure {
+    short: "fig11",
+    file: "fig11_speedup_ideal",
+    title: "speedup over NVSRAMCache (ideal), RFHome",
+    variant: SimConfig::with_ideal_backup,
+    footer: "(paper IPEX-both gmean: 1.0906)",
+};

@@ -1,11 +1,16 @@
 //! Figure 12: reduction in issued prefetch operations when IPEX controls
 //! both prefetchers.
 
+use ehs_sim::SimResult;
 use serde::Serialize;
 
-use super::{base_cfg, ipex_both_cfg, rfhome, suite_points, Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
+use super::{base_cfg, ipex_both_cfg, rfhome, suite_mean, Figure, Headline, RenderCx};
 use crate::{banner, pct};
+
+/// IPEX's cut in one app's issued prefetch operations.
+fn reduction(base: &SimResult, ipex: &SimResult) -> f64 {
+    1.0 - ipex.prefetch_operations() as f64 / base.prefetch_operations().max(1) as f64
+}
 
 pub struct Fig12;
 
@@ -22,27 +27,12 @@ impl Figure for Fig12 {
         "prefetch-operation reduction, IPEX on both prefetchers"
     }
 
-    fn points(&self) -> Vec<SimPoint> {
-        let trace = rfhome();
-        let mut pts = suite_points(&base_cfg(), &trace);
-        pts.extend(suite_points(&ipex_both_cfg(), &trace));
-        pts
-    }
-
     fn headlines(&self) -> Vec<Headline> {
         vec![Headline {
             label: "mean_prefetch_reduction".into(),
             base_trace: rfhome(),
             configs: vec![base_cfg(), ipex_both_cfg()],
-            eval: |s| {
-                let mut sum = 0.0;
-                for w in &ehs_workloads::SUITE {
-                    let b = s[0][w.name()].prefetch_operations().max(1);
-                    let i = s[1][w.name()].prefetch_operations();
-                    sum += 1.0 - i as f64 / b as f64;
-                }
-                sum / ehs_workloads::SUITE.len() as f64
-            },
+            eval: |s| suite_mean(&s[0], &s[1], reduction),
         }]
     }
 
@@ -59,16 +49,14 @@ impl Figure for Fig12 {
         let ipex = cx.suite(&ipex_both_cfg(), &trace);
         let mut rows = Vec::new();
         for w in &ehs_workloads::SUITE {
-            let b = base[w.name()].prefetch_operations().max(1);
-            let i = ipex[w.name()].prefetch_operations();
             let row = Row {
                 app: w.name(),
-                reduction: 1.0 - i as f64 / b as f64,
+                reduction: reduction(&base[w.name()], &ipex[w.name()]),
             };
             println!("{:10} {:>8}", row.app, pct(row.reduction));
             rows.push(row);
         }
-        let mean = rows.iter().map(|r| r.reduction).sum::<f64>() / rows.len() as f64;
+        let mean = suite_mean(&base, &ipex, reduction);
         println!("{:10} {:>8}  (paper mean: 7.11%)", "mean", pct(mean));
         cx.write(self.file_id(), &rows);
     }

@@ -1,11 +1,21 @@
 //! Figure 13: main-memory traffic reduction (bars) and total energy
 //! normalised to the baseline (line) with IPEX on both prefetchers.
 
+use ehs_sim::SimResult;
 use serde::Serialize;
 
-use super::{base_cfg, ipex_both_cfg, rfhome, suite_points, Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
+use super::{base_cfg, ipex_both_cfg, rfhome, suite_mean, Figure, Headline, RenderCx};
 use crate::{banner, pct};
+
+/// IPEX's cut in one app's main-memory traffic.
+fn traffic_reduction(base: &SimResult, ipex: &SimResult) -> f64 {
+    1.0 - ipex.nvm.total_traffic() as f64 / base.nvm.total_traffic().max(1) as f64
+}
+
+/// One app's total energy under IPEX, normalised to the baseline.
+fn normalized_energy(base: &SimResult, ipex: &SimResult) -> f64 {
+    ipex.total_energy_nj() / base.total_energy_nj()
+}
 
 pub struct Fig13;
 
@@ -22,41 +32,20 @@ impl Figure for Fig13 {
         "memory-traffic reduction + normalised energy"
     }
 
-    fn points(&self) -> Vec<SimPoint> {
-        let trace = rfhome();
-        let mut pts = suite_points(&base_cfg(), &trace);
-        pts.extend(suite_points(&ipex_both_cfg(), &trace));
-        pts
-    }
-
     fn headlines(&self) -> Vec<Headline> {
+        let mk = |label: &str, eval| Headline {
+            label: label.into(),
+            base_trace: rfhome(),
+            configs: vec![base_cfg(), ipex_both_cfg()],
+            eval,
+        };
         vec![
-            Headline {
-                label: "mean_traffic_reduction".into(),
-                base_trace: rfhome(),
-                configs: vec![base_cfg(), ipex_both_cfg()],
-                eval: |s| {
-                    let mut sum = 0.0;
-                    for w in &ehs_workloads::SUITE {
-                        let b = s[0][w.name()].nvm.total_traffic().max(1);
-                        let i = s[1][w.name()].nvm.total_traffic();
-                        sum += 1.0 - i as f64 / b as f64;
-                    }
-                    sum / ehs_workloads::SUITE.len() as f64
-                },
-            },
-            Headline {
-                label: "mean_normalized_energy".into(),
-                base_trace: rfhome(),
-                configs: vec![base_cfg(), ipex_both_cfg()],
-                eval: |s| {
-                    let mut sum = 0.0;
-                    for w in &ehs_workloads::SUITE {
-                        sum += s[1][w.name()].total_energy_nj() / s[0][w.name()].total_energy_nj();
-                    }
-                    sum / ehs_workloads::SUITE.len() as f64
-                },
-            },
+            mk("mean_traffic_reduction", |s| {
+                suite_mean(&s[0], &s[1], traffic_reduction)
+            }),
+            mk("mean_normalized_energy", |s| {
+                suite_mean(&s[0], &s[1], normalized_energy)
+            }),
         ]
     }
 
@@ -74,13 +63,11 @@ impl Figure for Fig13 {
         let ipex = cx.suite(&ipex_both_cfg(), &trace);
         let mut rows = Vec::new();
         for w in &ehs_workloads::SUITE {
-            let b = &base[w.name()];
-            let i = &ipex[w.name()];
+            let (b, i) = (&base[w.name()], &ipex[w.name()]);
             let row = Row {
                 app: w.name(),
-                traffic_reduction: 1.0
-                    - i.nvm.total_traffic() as f64 / b.nvm.total_traffic().max(1) as f64,
-                normalized_energy: i.total_energy_nj() / b.total_energy_nj(),
+                traffic_reduction: traffic_reduction(b, i),
+                normalized_energy: normalized_energy(b, i),
             };
             println!(
                 "{:10} traffic {:>8}   energy {:>7.4}",
@@ -90,13 +77,11 @@ impl Figure for Fig13 {
             );
             rows.push(row);
         }
-        let mt = rows.iter().map(|r| r.traffic_reduction).sum::<f64>() / rows.len() as f64;
-        let me = rows.iter().map(|r| r.normalized_energy).sum::<f64>() / rows.len() as f64;
         println!(
             "{:10} traffic {:>8}   energy {:>7.4}  (paper: 2.00% / 0.921)",
             "mean",
-            pct(mt),
-            me
+            pct(suite_mean(&base, &ipex, traffic_reduction)),
+            suite_mean(&base, &ipex, normalized_energy)
         );
         cx.write(self.file_id(), &rows);
     }

@@ -1,11 +1,11 @@
 //! Figure 14: energy breakdown (cache / memory / compute / backup+rst)
 //! normalised to the baseline, three bars per application.
 
-use ehs_energy::EnergyBreakdown;
+use ehs_sim::SimResult;
 use serde::Serialize;
 
-use super::RenderCx;
-use super::{base_cfg, ipex_both_cfg, ipex_data_cfg, rfhome, suite_points, Figure, Headline};
+use super::{base_cfg, ipex_both_cfg, ipex_data_cfg, rfhome, suite_mean, suite_points};
+use super::{headline_points, Figure, Headline, RenderCx};
 use crate::banner;
 use crate::sweep::SimPoint;
 
@@ -20,13 +20,9 @@ struct Row {
     total: f64,
 }
 
-fn bar(
-    app: &'static str,
-    config: &'static str,
-    e: &EnergyBreakdown,
-    base: &EnergyBreakdown,
-) -> Row {
-    let n = e.normalized_to(base);
+/// One app's bar: its energy under `test`, normalised to the baseline.
+fn bar(app: &'static str, config: &'static str, base: &SimResult, test: &SimResult) -> Row {
+    let n = test.energy.normalized_to(&base.energy);
     Row {
         app,
         config,
@@ -36,6 +32,11 @@ fn bar(
         backup_restore: n.backup_restore_nj,
         total: n.total_nj(),
     }
+}
+
+/// The height of one app's bar.
+fn total(base: &SimResult, test: &SimResult) -> f64 {
+    bar("", "", base, test).total
 }
 
 pub struct Fig14;
@@ -54,11 +55,10 @@ impl Figure for Fig14 {
     }
 
     fn points(&self) -> Vec<SimPoint> {
-        let trace = rfhome();
-        [base_cfg(), ipex_data_cfg(), ipex_both_cfg()]
-            .iter()
-            .flat_map(|c| suite_points(c, &trace))
-            .collect()
+        // The IPEX(D) bars are drawn, but no headline reads them.
+        let mut points = headline_points(&self.headlines());
+        points.extend(suite_points(&ipex_data_cfg(), &rfhome()));
+        points
     }
 
     fn headlines(&self) -> Vec<Headline> {
@@ -66,15 +66,7 @@ impl Figure for Fig14 {
             label: "ipex_both_mean_normalized_energy".into(),
             base_trace: rfhome(),
             configs: vec![base_cfg(), ipex_both_cfg()],
-            eval: |s| {
-                let mut sum = 0.0;
-                for w in &ehs_workloads::SUITE {
-                    let b = &s[0][w.name()].energy;
-                    let i = &s[1][w.name()].energy;
-                    sum += i.normalized_to(b).total_nj();
-                }
-                sum / ehs_workloads::SUITE.len() as f64
-            },
+            eval: |s| suite_mean(&s[0], &s[1], total),
         }]
     }
 
@@ -90,13 +82,13 @@ impl Figure for Fig14 {
             "app", "config", "cache", "mem", "comp", "bk+rst", "total"
         );
         for w in &ehs_workloads::SUITE {
-            let b = &base[w.name()].energy;
+            let b = &base[w.name()];
             for (cfg, e) in [
                 ("baseline", b),
-                ("ipex-data", &ipex_d[w.name()].energy),
-                ("ipex-both", &ipex[w.name()].energy),
+                ("ipex-data", &ipex_d[w.name()]),
+                ("ipex-both", &ipex[w.name()]),
             ] {
-                let row = bar(w.name(), cfg, e, b);
+                let row = bar(w.name(), cfg, b, e);
                 println!(
                     "{:10} {:>10} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
                     row.app,
@@ -110,12 +102,7 @@ impl Figure for Fig14 {
                 rows.push(row);
             }
         }
-        let m: f64 = rows
-            .iter()
-            .filter(|r| r.config == "ipex-both")
-            .map(|r| r.total)
-            .sum::<f64>()
-            / 20.0;
+        let m = suite_mean(&base, &ipex, total);
         println!("ipex-both mean normalised energy: {m:.4}  (paper: 0.9214)");
         cx.write(self.file_id(), &rows);
     }

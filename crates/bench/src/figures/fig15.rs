@@ -1,11 +1,21 @@
 //! Figure 15: ICache/DCache miss rates with and without IPEX on both
 //! prefetchers.
 
+use ehs_sim::SimResult;
 use serde::Serialize;
 
-use super::{base_cfg, ipex_both_cfg, rfhome, suite_points, Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
+use super::{base_cfg, ipex_both_cfg, rfhome, suite_mean, Figure, Headline, RenderCx};
 use crate::{banner, pct};
+
+/// How much IPEX raises one app's ICache miss rate.
+fn imiss_delta(base: &SimResult, ipex: &SimResult) -> f64 {
+    ipex.icache.miss_rate() - base.icache.miss_rate()
+}
+
+/// How much IPEX raises one app's DCache miss rate.
+fn dmiss_delta(base: &SimResult, ipex: &SimResult) -> f64 {
+    ipex.dcache.miss_rate() - base.dcache.miss_rate()
+}
 
 pub struct Fig15;
 
@@ -22,41 +32,20 @@ impl Figure for Fig15 {
         "cache miss rates, baseline vs IPEX"
     }
 
-    fn points(&self) -> Vec<SimPoint> {
-        let trace = rfhome();
-        let mut pts = suite_points(&base_cfg(), &trace);
-        pts.extend(suite_points(&ipex_both_cfg(), &trace));
-        pts
-    }
-
     fn headlines(&self) -> Vec<Headline> {
+        let mk = |label: &str, eval| Headline {
+            label: label.into(),
+            base_trace: rfhome(),
+            configs: vec![base_cfg(), ipex_both_cfg()],
+            eval,
+        };
         vec![
-            Headline {
-                label: "mean_imiss_delta".into(),
-                base_trace: rfhome(),
-                configs: vec![base_cfg(), ipex_both_cfg()],
-                eval: |s| {
-                    let mut sum = 0.0;
-                    for w in &ehs_workloads::SUITE {
-                        sum +=
-                            s[1][w.name()].icache.miss_rate() - s[0][w.name()].icache.miss_rate();
-                    }
-                    sum / ehs_workloads::SUITE.len() as f64
-                },
-            },
-            Headline {
-                label: "mean_dmiss_delta".into(),
-                base_trace: rfhome(),
-                configs: vec![base_cfg(), ipex_both_cfg()],
-                eval: |s| {
-                    let mut sum = 0.0;
-                    for w in &ehs_workloads::SUITE {
-                        sum +=
-                            s[1][w.name()].dcache.miss_rate() - s[0][w.name()].dcache.miss_rate();
-                    }
-                    sum / ehs_workloads::SUITE.len() as f64
-                },
-            },
+            mk("mean_imiss_delta", |s| {
+                suite_mean(&s[0], &s[1], imiss_delta)
+            }),
+            mk("mean_dmiss_delta", |s| {
+                suite_mean(&s[0], &s[1], dmiss_delta)
+            }),
         ]
     }
 
@@ -95,20 +84,10 @@ impl Figure for Fig15 {
             );
             rows.push(row);
         }
-        let di: f64 = rows
-            .iter()
-            .map(|r| r.icache_miss_ipex - r.icache_miss)
-            .sum::<f64>()
-            / rows.len() as f64;
-        let dd: f64 = rows
-            .iter()
-            .map(|r| r.dcache_miss_ipex - r.dcache_miss)
-            .sum::<f64>()
-            / rows.len() as f64;
         println!(
             "mean miss-rate increase under IPEX: I {} D {}  (paper: +0.08% / +0.02%)",
-            pct(di),
-            pct(dd)
+            pct(suite_mean(&base, &ipex, imiss_delta)),
+            pct(suite_mean(&base, &ipex, dmiss_delta))
         );
         cx.write(self.file_id(), &rows);
     }

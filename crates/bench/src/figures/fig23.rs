@@ -2,9 +2,8 @@
 
 use ehs_energy::{TraceKind, TraceSpec};
 
-use super::{base_cfg, ipex_both_cfg, speedup_headline, suite_points, Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
-use crate::{banner, speedups, SweepRow};
+use super::{base_cfg, ipex_both_cfg, speedup_headline, Figure, Headline, RenderCx};
+use crate::{banner, SweepRow};
 
 pub struct Fig23;
 
@@ -19,18 +18,6 @@ impl Figure for Fig23 {
 
     fn title(&self) -> &'static str {
         "power traces (paper: small gap, RF slightly ahead)"
-    }
-
-    fn points(&self) -> Vec<SimPoint> {
-        TraceKind::ALL
-            .into_iter()
-            .flat_map(|kind| {
-                let trace = TraceSpec::standard(kind);
-                let mut pts = suite_points(&base_cfg(), &trace);
-                pts.extend(suite_points(&ipex_both_cfg(), &trace));
-                pts
-            })
-            .collect()
     }
 
     fn headlines(&self) -> Vec<Headline> {
@@ -52,11 +39,8 @@ impl Figure for Fig23 {
     fn render(&self, cx: &RenderCx<'_>) {
         banner(self.file_id(), self.title());
         let mut rows = Vec::new();
-        for kind in TraceKind::ALL {
-            let trace = TraceSpec::standard(kind);
-            let b = cx.suite(&base_cfg(), &trace);
-            let i = cx.suite(&ipex_both_cfg(), &trace);
-            let (_, g) = speedups(&b, &i);
+        for (kind, h) in TraceKind::ALL.into_iter().zip(self.headlines()) {
+            let g = h.eval_under(cx.sweep, &h.base_trace);
             println!("{:>10}  IPEX speedup over baseline: {g:.4}", kind.name());
             rows.push(SweepRow {
                 label: kind.name().to_owned(),

@@ -11,8 +11,7 @@
 use serde::Serialize;
 
 use super::{base_cfg, hysteresis_cfg, ipex_both_cfg, predictive_cfg, static_deg_cfg};
-use super::{rfhome, speedup_headline, suite_points, Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
+use super::{rfhome, speedup_headline, Figure, Headline, RenderCx};
 use crate::{banner, speedups};
 
 #[derive(Serialize)]
@@ -37,20 +36,6 @@ impl Figure for Fig26 {
 
     fn title(&self) -> &'static str {
         "throttling-policy comparison vs baseline, RFHome"
-    }
-
-    fn points(&self) -> Vec<SimPoint> {
-        let trace = rfhome();
-        [
-            base_cfg(),
-            ipex_both_cfg(),
-            predictive_cfg(),
-            hysteresis_cfg(),
-            static_deg_cfg(),
-        ]
-        .iter()
-        .flat_map(|c| suite_points(c, &trace))
-        .collect()
     }
 
     fn headlines(&self) -> Vec<Headline> {

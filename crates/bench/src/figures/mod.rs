@@ -2,11 +2,14 @@
 //! declarative [`Figure`] implementation over the [`crate::sweep`]
 //! engine.
 //!
-//! A figure contributes two things: [`Figure::points`] — the simulation
-//! points it needs, declared up front so the `paper` binary can request
-//! the union of all figures and simulate each unique point exactly once
-//! — and [`Figure::render`], which pulls those (now memoized) results
-//! back out of the engine, prints the paper's rows, and writes
+//! A figure declares what it reads once, as [`Figure::headlines`]: each
+//! headline names the suites (configurations under a trace) its scalar
+//! reduces. [`Figure::points`] is derived from them — every suite once —
+//! so the `paper` binary can request the union of all figures and
+//! simulate each unique point exactly once. Only fig01 and fig27 (no
+//! headlines) and fig14 (one drawn suite no headline reads) override
+//! it. [`Figure::render`] pulls those (now memoized) results back out
+//! of the engine, prints the paper's rows, and writes
 //! `results/<file_id>.json`. `paper --only <id>` renders one figure;
 //! rendering against a fresh in-memory engine instead of `paper`'s
 //! disk-cached one produces byte-identical output
@@ -25,7 +28,6 @@ mod fig01;
 mod fig02;
 mod fig04;
 mod fig10;
-mod fig11;
 mod fig12;
 mod fig13;
 mod fig14;
@@ -35,9 +37,8 @@ mod fig26;
 mod fig27;
 mod sensitivity;
 mod tab2;
-mod tab3;
-mod tab4;
 mod tab_hw;
+mod tab_prefetchers;
 
 pub use sensitivity::Sensitivity;
 
@@ -54,8 +55,14 @@ pub trait Figure: Sync {
     fn title(&self) -> &'static str;
 
     /// Every simulation point this figure's render needs. Purely
-    /// declarative — nothing is simulated here.
-    fn points(&self) -> Vec<SimPoint>;
+    /// declarative — nothing is simulated here. By default every suite
+    /// of [`Figure::headlines`] under its headline's published trace,
+    /// each (config, trace) suite once, in first-seen order. Only
+    /// fig01 and fig27 (no headlines) and fig14 (it also draws the
+    /// IPEX(D) suite) override it.
+    fn points(&self) -> Vec<SimPoint> {
+        headline_points(&self.headlines())
+    }
 
     /// Prints the figure's rows and writes its results file, resolving
     /// all simulation through `cx` (so shared points are hits).
@@ -111,6 +118,39 @@ impl Headline {
     }
 }
 
+/// The points of `headlines`' suites under each headline's published
+/// trace: each distinct (config, trace) suite once, in first-seen order.
+/// Suites are told apart by the config's canonical JSON — the form its
+/// point keys hash — so no point key is computed here.
+pub(crate) fn headline_points(headlines: &[Headline]) -> Vec<SimPoint> {
+    let mut seen: Vec<(String, &TraceSpec)> = Vec::new();
+    let mut points = Vec::new();
+    for h in headlines {
+        for cfg in &h.configs {
+            let suite = (cfg.canonical_json(), &h.base_trace);
+            if !seen.contains(&suite) {
+                points.extend(suite_points(cfg, &h.base_trace));
+                seen.push(suite);
+            }
+        }
+    }
+    points
+}
+
+/// The mean over the suite, in suite order, of a per-app quantity
+/// comparing `test` with `base`.
+pub(crate) fn suite_mean(
+    base: &BTreeMap<&'static str, SimResult>,
+    test: &BTreeMap<&'static str, SimResult>,
+    per_app: fn(&SimResult, &SimResult) -> f64,
+) -> f64 {
+    let sum: f64 = ehs_workloads::SUITE
+        .iter()
+        .map(|w| per_app(&base[w.name()], &test[w.name()]))
+        .sum();
+    sum / ehs_workloads::SUITE.len() as f64
+}
+
 /// The standard two-config headline: gmean speedup of the suite under
 /// `test` over the suite under `base` — the y-axis of most figures.
 pub(crate) fn speedup_headline(
@@ -161,8 +201,8 @@ pub static REGISTRY: [&dyn Figure; 26] = [
     &fig01::Fig01,
     &fig02::Fig02,
     &fig04::Fig04,
-    &fig10::Fig10,
-    &fig11::Fig11,
+    &fig10::FIG10,
+    &fig10::FIG11,
     &fig12::Fig12,
     &fig13::Fig13,
     &fig14::Fig14,
@@ -179,8 +219,8 @@ pub static REGISTRY: [&dyn Figure; 26] = [
     &sensitivity::FIG25,
     &fig26::Fig26,
     &tab2::Tab2,
-    &tab3::Tab3,
-    &tab4::Tab4,
+    &tab_prefetchers::TAB3,
+    &tab_prefetchers::TAB4,
     &tab_hw::TabHw,
     &sensitivity::ABLATIONS,
     &fig27::Fig27,
@@ -205,6 +245,16 @@ pub(crate) fn suite_points(cfg: &SimConfig, trace: &TraceSpec) -> Vec<SimPoint> 
         .iter()
         .map(|w| SimPoint::new(w.name(), cfg.clone(), trace.clone()))
         .collect()
+}
+
+/// The baseline and IPEX(both) configurations, both transformed by
+/// `mutate` — the pair a sensitivity point compares.
+pub(crate) fn ipex_pair(mutate: &dyn Fn(&mut SimConfig)) -> (SimConfig, SimConfig) {
+    let mut base = base_cfg();
+    mutate(&mut base);
+    let mut ipex = ipex_both_cfg();
+    mutate(&mut ipex);
+    (base, ipex)
 }
 
 /// The four §6 comparison configurations.
@@ -254,7 +304,10 @@ pub(crate) fn static_deg_cfg() -> SimConfig {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
+    use crate::sweep::PointKey;
 
     #[test]
     fn registry_ids_are_unique_and_resolvable() {
@@ -276,5 +329,36 @@ mod tests {
             let analytic = matches!(f.id(), "fig04" | "tab_hw");
             assert_eq!(f.points().is_empty(), analytic, "{}", f.id());
         }
+    }
+
+    fn keys(points: &[SimPoint]) -> Vec<PointKey> {
+        points.iter().map(SimPoint::key).collect()
+    }
+
+    #[test]
+    fn every_headline_reads_only_declared_points() {
+        for f in REGISTRY {
+            let declared: HashSet<PointKey> = keys(&f.points()).into_iter().collect();
+            for h in f.headlines() {
+                for k in keys(&h.points_under(&h.base_trace)) {
+                    assert!(declared.contains(&k), "{} / {}: {k}", f.id(), h.label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_figure_declares_a_point_twice() {
+        for f in REGISTRY {
+            let keys = keys(&f.points());
+            let unique: HashSet<&PointKey> = keys.iter().collect();
+            assert_eq!(unique.len(), keys.len(), "{}", f.id());
+        }
+    }
+
+    #[test]
+    fn registry_declares_1680_unique_points() {
+        let unique: HashSet<PointKey> = REGISTRY.iter().flat_map(|f| keys(&f.points())).collect();
+        assert_eq!(unique.len(), 1680);
     }
 }

@@ -8,10 +8,8 @@ use ehs_mem::{NvmConfig, NvmTech, DEFAULT_NVM_BYTES};
 use ehs_sim::prelude::*;
 use ipex::{IpexConfig, PolicyConfig};
 
-use super::{base_cfg, ipex_both_cfg, rfhome, speedup_headline, suite_points};
-use super::{Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
-use crate::{banner, speedups, SweepPoint, SweepRow};
+use super::{ipex_pair, rfhome, speedup_headline, Figure, Headline, RenderCx};
+use crate::{banner, SweepPoint, SweepRow};
 
 /// A sensitivity sweep: for each `(label, mutator)` point the baseline
 /// and IPEX(both) configurations are both transformed by the mutator
@@ -21,15 +19,6 @@ pub struct Sensitivity {
     file: &'static str,
     title: &'static str,
     sweep_points: fn() -> Vec<SweepPoint>,
-}
-
-/// The mutated (baseline, IPEX-both) configuration pair of one point.
-fn pair(mutate: &dyn Fn(&mut SimConfig)) -> (SimConfig, SimConfig) {
-    let mut base = base_cfg();
-    mutate(&mut base);
-    let mut ipex = ipex_both_cfg();
-    mutate(&mut ipex);
-    (base, ipex)
 }
 
 impl Figure for Sensitivity {
@@ -45,24 +34,11 @@ impl Figure for Sensitivity {
         self.title
     }
 
-    fn points(&self) -> Vec<SimPoint> {
-        let trace = rfhome();
-        (self.sweep_points)()
-            .iter()
-            .flat_map(|(_, m)| {
-                let (base, ipex) = pair(m);
-                let mut pts = suite_points(&base, &trace);
-                pts.extend(suite_points(&ipex, &trace));
-                pts
-            })
-            .collect()
-    }
-
     fn headlines(&self) -> Vec<Headline> {
         (self.sweep_points)()
             .iter()
             .map(|(label, m)| {
-                let (base, ipex) = pair(m);
+                let (base, ipex) = ipex_pair(m);
                 speedup_headline(label.clone(), rfhome(), base, ipex)
             })
             .collect()
@@ -70,16 +46,12 @@ impl Figure for Sensitivity {
 
     fn render(&self, cx: &RenderCx<'_>) {
         banner(self.file, self.title);
-        let trace = rfhome();
         let mut rows = Vec::new();
-        for (label, m) in (self.sweep_points)() {
-            let (base, ipex) = pair(&*m);
-            let b = cx.suite(&base, &trace);
-            let i = cx.suite(&ipex, &trace);
-            let s = speedups(&b, &i).1;
-            println!("{label:>12}  IPEX speedup over baseline: {s:.4}");
+        for h in self.headlines() {
+            let s = h.eval_under(cx.sweep, &h.base_trace);
+            println!("{:>12}  IPEX speedup over baseline: {s:.4}", h.label);
             rows.push(SweepRow {
-                label,
+                label: h.label,
                 ipex_speedup: s,
             });
         }

@@ -6,8 +6,7 @@ use std::collections::BTreeMap;
 use ehs_sim::prelude::*;
 use serde::Serialize;
 
-use super::{base_cfg, ipex_both_cfg, rfhome, suite_points, Figure, Headline, RenderCx};
-use crate::sweep::SimPoint;
+use super::{base_cfg, ipex_both_cfg, rfhome, Figure, Headline, RenderCx};
 use crate::{banner, pct};
 
 #[derive(Serialize)]
@@ -53,13 +52,6 @@ impl Figure for Tab2 {
 
     fn title(&self) -> &'static str {
         "prefetch accuracy and coverage"
-    }
-
-    fn points(&self) -> Vec<SimPoint> {
-        let trace = rfhome();
-        let mut pts = suite_points(&base_cfg(), &trace);
-        pts.extend(suite_points(&ipex_both_cfg(), &trace));
-        pts
     }
 
     fn headlines(&self) -> Vec<Headline> {

@@ -2,7 +2,6 @@
 
 use super::{Figure, RenderCx};
 use crate::banner;
-use crate::sweep::SimPoint;
 
 pub struct TabHw;
 
@@ -17,10 +16,6 @@ impl Figure for TabHw {
 
     fn title(&self) -> &'static str {
         "IPEX hardware overhead (Section 6.1)"
-    }
-
-    fn points(&self) -> Vec<SimPoint> {
-        Vec::new() // purely analytic
     }
 
     fn render(&self, cx: &RenderCx<'_>) {

@@ -29,12 +29,14 @@
 //!
 //! Independent of the sink, an enabled [`Tracer`] maintains
 //! [`EventCounts`], which reconcile exactly with the `SimResult`
-//! aggregates (see `tests/trace.rs` for the invariants).
+//! aggregates ([`EventCounts::reconcile`] lists the identities).
 
 use std::io::{BufWriter, Write};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
+
+use crate::SimResult;
 
 /// Which memory path an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -287,6 +289,79 @@ impl EventCounts {
             SimEvent::PolicyAdapt { .. } => self.policy_adapt += 1,
             SimEvent::PowerCycleSummary { .. } => self.power_cycle_summary += 1,
         }
+    }
+
+    /// Every identity between these tallies and the aggregate counters
+    /// of the same completed run `r`, as `(identity, tally side,
+    /// aggregate side)`. The two sides are equal unless the simulator
+    /// has a bug.
+    pub fn reconcile(&self, r: &SimResult) -> [(&'static str, u64, u64); 13] {
+        let throttled = r.ipex_i.map_or(0, |s| s.throttled) + r.ipex_d.map_or(0, |s| s.throttled);
+        let reissued = r.ipex_i.map_or(0, |s| s.reissued) + r.ipex_d.map_or(0, |s| s.reissued);
+        let outages = r.stats.power_cycles - 1;
+        [
+            (
+                "prefetch-issued == buffer inserts",
+                self.prefetch_issued,
+                r.ibuf.inserted + r.dbuf.inserted,
+            ),
+            (
+                "prefetch-issued == NVM prefetch reads",
+                self.prefetch_issued,
+                r.nvm.prefetch_reads,
+            ),
+            (
+                "buffer-hit == useful prefetches",
+                self.buffer_hit,
+                r.ibuf.useful + r.dbuf.useful,
+            ),
+            (
+                "late-prefetch == duplicates suppressed",
+                self.late_prefetch,
+                r.ibuf.duplicate_suppressed + r.dbuf.duplicate_suppressed,
+            ),
+            (
+                "evicted-unused == buffer evictions",
+                self.evicted_unused,
+                r.ibuf.evicted_unused + r.dbuf.evicted_unused,
+            ),
+            (
+                "lost-unused == buffer losses",
+                self.lost_unused,
+                r.ibuf.lost_unused + r.dbuf.lost_unused,
+            ),
+            (
+                "prefetch-throttled == IPEX throttled",
+                self.prefetch_throttled,
+                throttled,
+            ),
+            (
+                "prefetch-reissued == IPEX reissued",
+                self.prefetch_reissued,
+                reissued,
+            ),
+            (
+                "writeback+checkpoints == NVM writes",
+                self.writeback + r.stats.checkpoint_blocks,
+                r.nvm.writes,
+            ),
+            (
+                "outage-begin == power cycles - 1",
+                self.outage_begin,
+                outages,
+            ),
+            ("restore == power cycles - 1", self.restore, outages),
+            (
+                "power-cycle-summary == power cycles",
+                self.power_cycle_summary,
+                r.stats.power_cycles,
+            ),
+            (
+                "cache-fill == buffer hits + demand reads",
+                self.cache_fill,
+                self.buffer_hit + r.stats.i_demand_reads + r.stats.d_demand_reads,
+            ),
+        ]
     }
 }
 

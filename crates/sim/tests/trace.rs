@@ -44,8 +44,8 @@ fn preset(which: u8) -> SimConfig {
     }
 }
 
-/// Asserts every identity that must hold between the per-event tallies
-/// and the aggregate counters of the same run.
+/// Asserts the conservation bounds on the per-event tallies and every
+/// identity of [`EventCounts::reconcile`].
 fn assert_reconciles(c: &EventCounts, r: &SimResult, buffer_entries: u64) {
     // Conservation: every issued prefetch is eventually a buffer hit, an
     // unused eviction, an outage loss — or still resident at halt.
@@ -61,32 +61,9 @@ fn assert_reconciles(c: &EventCounts, r: &SimResult, buffer_entries: u64) {
         "residual {resident} exceeds both buffers' capacity"
     );
 
-    assert_eq!(c.prefetch_issued, r.ibuf.inserted + r.dbuf.inserted);
-    assert_eq!(c.prefetch_issued, r.nvm.prefetch_reads);
-    assert_eq!(c.buffer_hit, r.ibuf.useful + r.dbuf.useful);
-    assert_eq!(
-        c.late_prefetch,
-        r.ibuf.duplicate_suppressed + r.dbuf.duplicate_suppressed
-    );
-    assert_eq!(
-        c.evicted_unused,
-        r.ibuf.evicted_unused + r.dbuf.evicted_unused
-    );
-    assert_eq!(c.lost_unused, r.ibuf.lost_unused + r.dbuf.lost_unused);
-
-    let throttled = r.ipex_i.map_or(0, |s| s.throttled) + r.ipex_d.map_or(0, |s| s.throttled);
-    let reissued = r.ipex_i.map_or(0, |s| s.reissued) + r.ipex_d.map_or(0, |s| s.reissued);
-    assert_eq!(c.prefetch_throttled, throttled);
-    assert_eq!(c.prefetch_reissued, reissued);
-
-    assert_eq!(c.outage_begin, r.stats.power_cycles - 1);
-    assert_eq!(c.restore, r.stats.power_cycles - 1);
-    assert_eq!(c.power_cycle_summary, r.stats.power_cycles);
-    assert_eq!(
-        c.cache_fill,
-        c.buffer_hit + r.stats.i_demand_reads + r.stats.d_demand_reads
-    );
-    assert_eq!(c.writeback + r.stats.checkpoint_blocks, r.nvm.writes);
+    for (identity, lhs, rhs) in c.reconcile(r) {
+        assert_eq!(lhs, rhs, "{identity}");
+    }
 }
 
 proptest! {

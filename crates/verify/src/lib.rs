@@ -78,8 +78,8 @@ pub fn parse_seed(s: &str) -> u64 {
 
 /// Runs `f` over `items` on a bounded worker pool (at most
 /// [`std::thread::available_parallelism`] threads), returning results in
-/// item order. The same queue-pull pattern as `ehs-bench`'s suite
-/// runner, generalized over the task type.
+/// item order: each worker pulls the next unclaimed index from a shared
+/// counter, so a slow item never holds up the others.
 pub fn run_parallel<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

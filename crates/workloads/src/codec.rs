@@ -9,10 +9,7 @@
 //!   autocorrelations per 160-sample frame; the decoder runs long-term
 //!   prediction against a history buffer.
 
-use crate::{checksum_fold, lcg_next};
-
-const LCG_MUL: u32 = 1664525;
-const LCG_INC: u32 = 1013904223;
+use crate::{checksum_fold, lcg_next, LCG_INC, LCG_MUL};
 
 /// The standard IMA ADPCM step-size table.
 const STEP_TABLE: [i32; 89] = [

@@ -13,10 +13,7 @@
 //!   matching pegwit's very high DCache stall share in the paper's
 //!   Fig. 2.
 
-use crate::{checksum_fold, lcg_next};
-
-const LCG_MUL: u32 = 1664525;
-const LCG_INC: u32 = 1013904223;
+use crate::{checksum_fold, lcg_next, LCG_INC, LCG_MUL};
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [

@@ -9,10 +9,7 @@
 //! uses a 3×3 mask on a 64×64 image. 2-D strided neighbour access is the
 //! kernels' defining memory pattern.
 
-use crate::{checksum_fold, lcg_next};
-
-const LCG_MUL: u32 = 1664525;
-const LCG_INC: u32 = 1013904223;
+use crate::{checksum_fold, lcg_next, LCG_INC, LCG_MUL};
 
 const SIM_THRESHOLD: i32 = 27;
 

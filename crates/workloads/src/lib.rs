@@ -33,11 +33,17 @@ mod transform;
 
 use ehs_isa::{asm, Program};
 
+/// Multiplier of the shared LCG (Numerical Recipes).
+const LCG_MUL: u32 = 1664525;
+/// Increment of the shared LCG.
+const LCG_INC: u32 = 1013904223;
+
 /// The shared LCG used by every workload's in-program input generator:
-/// `x ← x·1664525 + 1013904223` (Numerical Recipes).
+/// `x ← x·LCG_MUL + LCG_INC`. The assembly templates load the same two
+/// constants, so the Rust reference models and the kernels agree.
 #[inline]
 pub fn lcg_next(x: u32) -> u32 {
-    x.wrapping_mul(1664525).wrapping_add(1013904223)
+    x.wrapping_mul(LCG_MUL).wrapping_add(LCG_INC)
 }
 
 /// The shared checksum folding step: `cs ← cs·31 + v`.

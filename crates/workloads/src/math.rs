@@ -6,10 +6,10 @@
 //! Memory traffic is almost nil, which is exactly basicmath's profile —
 //! it bounds how much a prefetcher (and hence IPEX) can matter.
 
+use crate::{LCG_INC, LCG_MUL};
+
 const N: u32 = 1500;
 const NEWTON_ITERS: u32 = 12;
-const LCG_MUL: u32 = 1664525;
-const LCG_INC: u32 = 1013904223;
 const SEED: u32 = 12345;
 
 /// Generates the `basicm` assembly source.

@@ -1,10 +1,7 @@
 //! `qsort`, `strings`, `patricia` — sorting, searching and
 //! pointer-chasing kernels (MiBench stand-ins).
 
-use crate::{checksum_fold, lcg_next};
-
-const LCG_MUL: u32 = 1664525;
-const LCG_INC: u32 = 1013904223;
+use crate::{checksum_fold, lcg_next, LCG_INC, LCG_MUL};
 
 // ---------------------------------------------------------------------
 // qsort

@@ -13,10 +13,7 @@
 //!   64×64 image (EPIC's decompression core): row and column passes at
 //!   strides 4 and 256 bytes.
 
-use crate::{checksum_fold, lcg_next};
-
-const LCG_MUL: u32 = 1664525;
-const LCG_INC: u32 = 1013904223;
+use crate::{checksum_fold, lcg_next, LCG_INC, LCG_MUL};
 
 // ---------------------------------------------------------------------
 // fft / ifft
