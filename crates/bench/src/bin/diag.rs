@@ -15,6 +15,8 @@
 use ehs_bench::{expect_ok, pct, run_one};
 use ehs_sim::prelude::*;
 
+const USAGE: &str = "usage: diag [workload] [--trace [FILE]]";
+
 fn main() {
     let mut name = String::from("g721e");
     let mut trace_to: Option<Option<String>> = None;
@@ -27,14 +29,17 @@ fn main() {
             }
             trace_to = Some(file);
         } else if a.starts_with('-') {
-            eprintln!("diag: unknown option `{a}`\nusage: diag [workload] [--trace [FILE]]");
+            eprintln!("diag: unknown option `{a}`\n{USAGE}");
             std::process::exit(2);
         } else {
             name = a;
         }
     }
 
-    let w = ehs_workloads::by_name(&name).expect("workload name");
+    let Some(w) = ehs_workloads::by_name(&name) else {
+        eprintln!("diag: unknown workload `{name}`\n{USAGE}");
+        std::process::exit(2);
+    };
     let trace = SimConfig::default_trace();
 
     for (label, cfg) in [

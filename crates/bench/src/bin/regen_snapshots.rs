@@ -5,13 +5,14 @@
 //! `tests/corpus/snapshots/*.json`. Generation is fully deterministic,
 //! so rerunning without simulator changes is a no-op (byte-identical
 //! files); after an *intentional* behaviour change, run this and commit
-//! the resulting diff alongside the change.
+//! the resulting diff alongside the change. Each file is replaced
+//! atomically, so a killed run leaves no torn entry behind.
 
+use ehs_bench::write_atomic;
 use ehs_verify::{run_parallel, snapcorpus};
 
 fn main() {
     let dir = snapcorpus::corpus_dir();
-    std::fs::create_dir_all(&dir).expect("create snapshot corpus dir");
     let specs = snapcorpus::specs();
     let rendered = run_parallel(&specs, |spec| {
         (
@@ -22,7 +23,7 @@ fn main() {
     for (name, text) in rendered {
         let path = dir.join(&name);
         let changed = std::fs::read_to_string(&path).map_or(true, |old| old != text);
-        std::fs::write(&path, text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        write_atomic(&path, text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         println!(
             "{} {}",
             if changed { "wrote " } else { "same  " },

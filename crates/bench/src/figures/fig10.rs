@@ -2,37 +2,44 @@
 //! conventional-prefetcher baseline (RFHome) for no-prefetcher, IPEX on
 //! the data prefetcher, and IPEX on both prefetchers — Figure 11 on the
 //! *ideal* NVSRAMCache (zero-cost backup/restore), the upper bound for
-//! cache-equipped EHSs.
+//! cache-equipped EHSs. The same per-application speedup table also
+//! renders fig26, over a different column list.
 
 use ehs_sim::SimConfig;
-use serde::Serialize;
+use serde::Content;
 
 use super::{base_cfg, ipex_both_cfg, ipex_data_cfg, nopf_cfg, rfhome};
 use super::{speedup_headline, Figure, Headline, RenderCx};
 use crate::{banner, speedups};
 
-#[derive(Serialize)]
-struct Row {
-    app: String,
-    no_prefetch: f64,
-    ipex_data: f64,
-    ipex_both: f64,
+/// One column of a speedup table: the configuration whose speedup over
+/// the baseline it shows.
+pub(super) struct Column {
+    /// JSON field of the column; its headline is `<key>_gmean`.
+    pub key: &'static str,
+    /// Column heading on stdout.
+    pub header: &'static str,
+    /// The configuration compared with the baseline.
+    pub cfg: fn() -> SimConfig,
 }
 
-/// The Figure-10 comparison with every configuration passed through
-/// `variant`.
+/// A per-application table of speedups over the baseline configuration
+/// (RFHome), one column per configuration, with a gmean row. Every
+/// configuration, the baseline included, is passed through `variant`.
 pub struct SpeedupFigure {
-    short: &'static str,
-    file: &'static str,
-    title: &'static str,
-    variant: fn(SimConfig) -> SimConfig,
-    footer: &'static str,
+    pub(super) short: &'static str,
+    pub(super) file: &'static str,
+    pub(super) title: &'static str,
+    pub(super) columns: &'static [Column],
+    pub(super) variant: fn(SimConfig) -> SimConfig,
+    pub(super) footer: Option<&'static str>,
 }
 
 impl SpeedupFigure {
-    /// Baseline, no-prefetcher, IPEX(D) and IPEX(I+D), in that order.
-    fn configs(&self) -> [SimConfig; 4] {
-        [base_cfg(), nopf_cfg(), ipex_data_cfg(), ipex_both_cfg()].map(self.variant)
+    /// The baseline and each column's configuration, after `variant`.
+    fn configs(&self) -> (SimConfig, impl Iterator<Item = (&Column, SimConfig)>) {
+        let columns = self.columns.iter().map(|c| (c, (self.variant)((c.cfg)())));
+        ((self.variant)(base_cfg()), columns)
     }
 }
 
@@ -50,58 +57,82 @@ impl Figure for SpeedupFigure {
     }
 
     fn headlines(&self) -> Vec<Headline> {
-        let [base, nopf, ipex_d, ipex] = self.configs();
-        vec![
-            speedup_headline("no_prefetch_gmean", rfhome(), base.clone(), nopf),
-            speedup_headline("ipex_data_gmean", rfhome(), base.clone(), ipex_d),
-            speedup_headline("ipex_both_gmean", rfhome(), base, ipex),
-        ]
+        let (base, columns) = self.configs();
+        columns
+            .map(|(c, cfg)| {
+                speedup_headline(format!("{}_gmean", c.key), rfhome(), base.clone(), cfg)
+            })
+            .collect()
     }
 
     fn render(&self, cx: &RenderCx<'_>) {
         banner(self.short, self.title);
         let trace = rfhome();
-        let [base, nopf, ipex_d, ipex] = self.configs().map(|c| cx.suite(&c, &trace));
+        let (base, columns) = self.configs();
+        let base = cx.suite(&base, &trace);
+        // Per column: its per-app speedups and their gmean.
+        let columns: Vec<_> = columns
+            .map(|(c, cfg)| (c, speedups(&base, &cx.suite(&cfg, &trace))))
+            .collect();
 
-        let (r0, g0) = speedups(&base, &nopf);
-        let (r1, g1) = speedups(&base, &ipex_d);
-        let (r2, g2) = speedups(&base, &ipex);
+        let mut table: Vec<(&str, Vec<f64>)> = (columns[0].1)
+            .0
+            .iter()
+            .enumerate()
+            .map(|(i, (app, _))| (*app, columns.iter().map(|(_, (r, _))| r[i].1).collect()))
+            .collect();
+        table.push(("gmean", columns.iter().map(|(_, (_, g))| *g).collect()));
+
+        print!("{:10}", "app");
+        columns
+            .iter()
+            .for_each(|(c, _)| print!(" {:>10}", c.header));
+        println!();
         let mut rows = Vec::new();
-        println!(
-            "{:10} {:>8} {:>8} {:>8}",
-            "app", "no-pf", "+IPEX(D)", "+IPEX(I+D)"
-        );
-        for i in 0..r0.len() {
-            println!(
-                "{:10} {:>8.3} {:>8.3} {:>8.3}",
-                r0[i].0, r0[i].1, r1[i].1, r2[i].1
-            );
-            rows.push(Row {
-                app: r0[i].0.to_owned(),
-                no_prefetch: r0[i].1,
-                ipex_data: r1[i].1,
-                ipex_both: r2[i].1,
-            });
+        for (app, values) in table {
+            print!("{app:10}");
+            values.iter().for_each(|v| print!(" {v:>10.3}"));
+            println!();
+            let mut fields = vec![("app".to_owned(), Content::Str(app.to_owned()))];
+            for ((c, _), v) in columns.iter().zip(values) {
+                fields.push((c.key.to_owned(), Content::F64(v)));
+            }
+            rows.push(Content::Map(fields));
         }
-        println!("{:10} {:>8.3} {:>8.3} {:>8.3}", "gmean", g0, g1, g2);
-        println!("{}", self.footer);
-        rows.push(Row {
-            app: "gmean".into(),
-            no_prefetch: g0,
-            ipex_data: g1,
-            ipex_both: g2,
-        });
+        if let Some(footer) = self.footer {
+            println!("{footer}");
+        }
         cx.write(self.file, &rows);
     }
 }
+
+/// The three comparisons of Figs. 10 and 11.
+const FIG10_COLUMNS: &[Column] = &[
+    Column {
+        key: "no_prefetch",
+        header: "no-pf",
+        cfg: nopf_cfg,
+    },
+    Column {
+        key: "ipex_data",
+        header: "+IPEX(D)",
+        cfg: ipex_data_cfg,
+    },
+    Column {
+        key: "ipex_both",
+        header: "+IPEX(I+D)",
+        cfg: ipex_both_cfg,
+    },
+];
 
 /// Figure 10: against the NVSRAMCache baseline.
 pub static FIG10: SpeedupFigure = SpeedupFigure {
     short: "fig10",
     file: "fig10_speedup_baseline",
     title: "speedup over NVSRAMCache baseline, RFHome",
+    columns: FIG10_COLUMNS,
     variant: |c| c,
-    footer: "(paper gmeans: 0.953 / 1.037 / 1.090 relative to baseline)",
+    footer: Some("(paper gmeans: 0.953 / 1.037 / 1.090 relative to baseline)"),
 };
 
 /// Figure 11: against the ideal NVSRAMCache.
@@ -109,6 +140,7 @@ pub static FIG11: SpeedupFigure = SpeedupFigure {
     short: "fig11",
     file: "fig11_speedup_ideal",
     title: "speedup over NVSRAMCache (ideal), RFHome",
+    columns: FIG10_COLUMNS,
     variant: SimConfig::with_ideal_backup,
-    footer: "(paper IPEX-both gmean: 1.0906)",
+    footer: Some("(paper IPEX-both gmean: 1.0906)"),
 };

@@ -217,7 +217,7 @@ pub static REGISTRY: [&dyn Figure; 26] = [
     &fig23::Fig23,
     &sensitivity::FIG24,
     &sensitivity::FIG25,
-    &fig26::Fig26,
+    &fig26::FIG26,
     &tab2::Tab2,
     &tab_prefetchers::TAB3,
     &tab_prefetchers::TAB4,

@@ -8,7 +8,7 @@ use ehs_sim::SimConfig;
 use serde::Serialize;
 
 use super::{ipex_pair, rfhome, speedup_headline, Figure, Headline, RenderCx};
-use crate::{banner, speedups};
+use crate::banner;
 
 /// One row's prefetcher name and its (baseline, IPEX-both) pair.
 type PrefetcherPair = (&'static str, (SimConfig, SimConfig));
@@ -54,10 +54,9 @@ impl Figure for PrefetcherTable {
         }
 
         banner(self.short, self.title);
-        let trace = rfhome();
         let mut rows = Vec::new();
-        for (prefetcher, (base, ipex)) in (self.rows)() {
-            let (_, g) = speedups(&cx.suite(&base, &trace), &cx.suite(&ipex, &trace));
+        for ((prefetcher, _), h) in (self.rows)().into_iter().zip(self.headlines()) {
+            let g = h.eval_under(cx.sweep, &h.base_trace);
             println!("{prefetcher:12} IPEX speedup {g:.4}");
             rows.push(Row {
                 prefetcher,

@@ -547,6 +547,19 @@ mod tests {
         assert_ne!(a.key(), renamed.key());
     }
 
+    /// The key of one fixed point, as the canonical JSON writer renders
+    /// it today: any drift in that rendering (float or string
+    /// formatting, key order) moves every cache key and fails here.
+    #[test]
+    fn key_of_a_fixed_point_is_pinned() {
+        let point = SimPoint::new(
+            "qsort",
+            SimConfig::builder().ipex(Ipex::Both).build(),
+            TraceSpec::default_rfhome(),
+        );
+        assert_eq!(point.key().to_string(), "7b14443dfdd0d517");
+    }
+
     #[test]
     fn duplicate_requests_simulate_once() {
         let sweep = Sweep::new(SweepOptions::default());

@@ -2,10 +2,9 @@
 
 use std::collections::VecDeque;
 
-use ehs_mem::Persist;
 use serde::{Deserialize, Serialize};
 
-use crate::policy::same_cfg;
+use crate::policy::{same_cfg, ThrottlePolicy, IPEX_NVFF_BITS};
 use crate::{IpexConfig, IpexRegisters, PolicyStats};
 
 /// The controller's bi-modal operating state (§3.2).
@@ -19,36 +18,18 @@ pub enum Mode {
     EnergySaving,
 }
 
-/// Complete serializable state of an [`IpexController`] — configuration,
-/// adapted threshold ladder, registers, mode and the reissue queue.
-/// Produced and consumed through the controller's [`Persist`] impl.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IpexControllerState {
-    /// Configuration the controller was built with.
-    pub cfg: IpexConfig,
-    /// Current (possibly adapted) threshold ladder, highest first.
-    pub thresholds: Vec<f64>,
-    /// Register file.
-    pub regs: IpexRegisters,
-    /// Current prefetch degree (`Rcpd`).
-    pub r_cpd: u32,
-    /// Number of thresholds at or above the current voltage.
-    pub level: u32,
-    /// Operating mode.
-    pub mode: Mode,
-    /// Reissue queue, oldest first.
-    pub reissue_queue: Vec<u32>,
-    /// Counters at the time of the export.
-    pub stats: PolicyStats,
-}
-
 /// The per-cache IPEX controller.
 ///
-/// Drive it with [`IpexController::observe_voltage`] (every cycle or on
-/// every meaningful voltage change), pass each prefetcher candidate list
-/// through [`IpexController::filter`], and notify it of outages via
-/// [`IpexController::on_power_failure`] / [`IpexController::on_reboot`].
-#[derive(Debug, Clone)]
+/// Drive it through its [`ThrottlePolicy`] impl: call
+/// [`ThrottlePolicy::observe_voltage`] every cycle or on every
+/// meaningful voltage change, pass each prefetcher candidate list
+/// through [`ThrottlePolicy::filter`], and notify it of outages via
+/// [`ThrottlePolicy::on_power_failure`] / [`ThrottlePolicy::on_reboot`].
+///
+/// The controller serializes as itself — configuration, adapted
+/// threshold ladder, registers, mode, reissue queue and counters — for
+/// snapshot/resume through [`AnyPolicy`](crate::AnyPolicy).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IpexController {
     cfg: IpexConfig,
     /// Current threshold ladder, highest first. Adapted at reboot.
@@ -59,7 +40,8 @@ pub struct IpexController {
     /// Number of thresholds at or above the current voltage.
     level: u32,
     mode: Mode,
-    /// Recently throttled candidates for the §5.1 reissue extension.
+    /// Recently throttled candidates for the §5.1 reissue extension,
+    /// oldest first.
     reissue_queue: VecDeque<u32>,
     stats: PolicyStats,
 }
@@ -93,16 +75,6 @@ impl IpexController {
         &self.cfg
     }
 
-    /// The current threshold ladder, highest first.
-    pub fn thresholds(&self) -> &[f64] {
-        &self.thresholds
-    }
-
-    /// The current prefetch degree (`Rcpd`).
-    pub fn current_degree(&self) -> u32 {
-        self.r_cpd
-    }
-
     /// The current operating mode.
     pub fn mode(&self) -> Mode {
         self.mode
@@ -113,11 +85,6 @@ impl IpexController {
         self.regs
     }
 
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> PolicyStats {
-        self.stats
-    }
-
     /// Degree implied by a throttle level: halved once per crossed
     /// threshold (`§4.2`: "halves the prefetch degree each time the
     /// capacitor voltage falls below a threshold").
@@ -125,11 +92,41 @@ impl IpexController {
         self.regs.r_ipd as u32 >> level.min(31)
     }
 
+    /// The restore check [`AnyPolicy`](crate::AnyPolicy) applies
+    /// before copying a saved controller over this one: rejects a saved
+    /// controller whose own configuration is inconsistent or differs
+    /// from this one's, or whose threshold ladder length or `Ripd`
+    /// disagrees with it (a corrupted snapshot).
+    pub(crate) fn check_shape(&self, saved: &IpexController) -> Result<(), String> {
+        saved.cfg.validate()?;
+        same_cfg(&saved.cfg, &self.cfg)?;
+        if saved.thresholds.len() != self.thresholds.len() {
+            return Err(format!(
+                "controller state has {} thresholds, config wants {}",
+                saved.thresholds.len(),
+                self.thresholds.len()
+            ));
+        }
+        if saved.regs.r_ipd != self.regs.r_ipd {
+            return Err(format!(
+                "controller state has Ripd {}, config wants {}",
+                saved.regs.r_ipd, self.regs.r_ipd
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl ThrottlePolicy for IpexController {
+    fn kind_name(&self) -> &'static str {
+        "ipex"
+    }
+
     /// Updates the controller with the current capacitor voltage,
     /// adjusting the degree on threshold crossings. Returns candidates to
     /// reissue if the §5.1 extension is enabled and the controller just
     /// returned to high-performance mode.
-    pub fn observe_voltage(&mut self, voltage: f64) -> Option<Vec<u32>> {
+    fn observe_voltage(&mut self, voltage: f64) -> Option<Vec<u32>> {
         let new_level = self.thresholds.iter().filter(|&&t| voltage <= t).count() as u32;
         if new_level == self.level {
             return None;
@@ -164,7 +161,7 @@ impl IpexController {
     /// usual, without being throttled" (§4.2, Fig. 9): the whole list
     /// passes through, including any degree the prefetcher's own
     /// confidence ramp chose above `Ripd`.
-    pub fn filter(&mut self, candidates: &mut Vec<u32>) -> usize {
+    fn filter(&mut self, candidates: &mut Vec<u32>) -> usize {
         let total = candidates.len();
         // Most accesses propose nothing (the prefetcher only triggers on
         // new blocks); every update below is a no-op then.
@@ -197,7 +194,7 @@ impl IpexController {
     /// and `Rtotal` are JIT-checkpointed (their bits are charged by the
     /// simulator); the volatile mode/level state will be rebuilt at
     /// reboot.
-    pub fn on_power_failure(&mut self) {
+    fn on_power_failure(&mut self) {
         // Registers persist (checkpointed); nothing else survives.
         self.reissue_queue.clear();
     }
@@ -205,7 +202,7 @@ impl IpexController {
     /// Reboot processing (§4.1.1): computes the throttling rate `Rtr`,
     /// adapts the voltage thresholds, resets `Rcpd` to `Ripd`, and starts
     /// the new power cycle in high-performance mode.
-    pub fn on_reboot(&mut self) {
+    fn on_reboot(&mut self) {
         self.stats.power_cycles += 1;
         let had_candidates = self.regs.r_total > 0;
         self.regs.on_reboot();
@@ -229,51 +226,34 @@ impl IpexController {
         self.level = 0;
         self.mode = Mode::HighPerformance;
     }
-}
 
-impl Persist for IpexController {
-    type State = IpexControllerState;
-
-    fn export_state(&self) -> IpexControllerState {
-        IpexControllerState {
-            cfg: self.cfg,
-            thresholds: self.thresholds.clone(),
-            regs: self.regs,
-            r_cpd: self.r_cpd,
-            level: self.level,
-            mode: self.mode,
-            reissue_queue: self.reissue_queue.iter().copied().collect(),
-            stats: self.stats,
-        }
+    fn stats(&self) -> PolicyStats {
+        self.stats
     }
 
-    /// Rejects a state whose own configuration is inconsistent or differs
-    /// from this controller's, or whose threshold ladder length or `Ripd`
-    /// disagrees with it (a corrupted snapshot).
-    fn import_state(&mut self, state: &IpexControllerState) -> Result<(), String> {
-        state.cfg.validate()?;
-        same_cfg(&state.cfg, &self.cfg)?;
-        if state.thresholds.len() != self.thresholds.len() {
-            return Err(format!(
-                "controller state has {} thresholds, config wants {}",
-                state.thresholds.len(),
-                self.thresholds.len()
-            ));
-        }
-        if state.regs.r_ipd != self.regs.r_ipd {
-            return Err(format!(
-                "controller state has Ripd {}, config wants {}",
-                state.regs.r_ipd, self.regs.r_ipd
-            ));
-        }
-        self.thresholds.copy_from_slice(&state.thresholds);
-        self.regs = state.regs;
-        self.r_cpd = state.r_cpd;
-        self.level = state.level;
-        self.mode = state.mode;
-        self.reissue_queue = state.reissue_queue.iter().copied().collect();
-        self.stats = state.stats;
-        Ok(())
+    /// The current prefetch degree (`Rcpd`).
+    fn current_degree(&self) -> u32 {
+        self.r_cpd
+    }
+
+    /// The current threshold ladder, highest first.
+    fn thresholds(&self) -> &[f64] {
+        &self.thresholds
+    }
+
+    fn nvff_bits(&self) -> u32 {
+        IPEX_NVFF_BITS
+    }
+
+    fn skippable_observations(&self) -> u64 {
+        // `observe_voltage` only acts when the threshold-count level
+        // changes, which cannot happen while the voltage stays strictly
+        // between two adjacent thresholds.
+        u64::MAX
+    }
+
+    fn adaptations(&self) -> u64 {
+        self.stats.threshold_lowers + self.stats.threshold_raises
     }
 }
 
@@ -285,12 +265,13 @@ mod tests {
         IpexController::new(IpexConfig::paper_default())
     }
 
-    /// `Ripd` is configuration: a state carrying another one is rejected.
+    /// `Ripd` is configuration: a saved controller carrying another one
+    /// is rejected.
     #[test]
     fn import_rejects_another_ripd() {
-        let mut state = ctl().export_state();
-        state.regs.r_ipd = 3;
-        let err = ctl().import_state(&state).unwrap_err();
+        let mut saved = ctl();
+        saved.regs.r_ipd = 3;
+        let err = ctl().check_shape(&saved).unwrap_err();
         assert!(err.contains("Ripd"), "{err}");
     }
 

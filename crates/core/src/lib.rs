@@ -22,12 +22,13 @@
 //!   they rise by one step (more eager).
 //! * **Per-cache controllers.** ICache and DCache each get their own
 //!   [`IpexController`]; the simulator feeds each one its prefetcher's
-//!   candidate list through [`IpexController::filter`].
+//!   candidate list through [`ThrottlePolicy::filter`], the policy
+//!   contract every controller implements.
 //!
 //! ## Example
 //!
 //! ```
-//! use ipex::{IpexConfig, IpexController, Mode};
+//! use ipex::{IpexConfig, IpexController, Mode, ThrottlePolicy};
 //!
 //! let mut ctl = IpexController::new(IpexConfig::paper_default());
 //! // Plenty of charge: full degree.
@@ -55,7 +56,8 @@
 //! ships alternative answers ([`PredictiveController`],
 //! [`HysteresisController`], [`StaticController`]) behind the closed
 //! [`AnyPolicy`] enum the simulator embeds; `IpexController` is one
-//! implementation among them. See the module docs for the state rules.
+//! implementation among them. Each controller, and `AnyPolicy`, is also
+//! its own snapshot wire form. See the module docs for the state rules.
 
 #![warn(missing_docs)]
 
@@ -66,11 +68,10 @@ pub mod policy;
 mod registers;
 
 pub use config::IpexConfig;
-pub use controller::{IpexController, IpexControllerState, Mode};
+pub use controller::{IpexController, Mode};
 pub use policy::{
-    AnyPolicy, HysteresisConfig, HysteresisController, HysteresisControllerState, PolicyConfig,
-    PolicyState, PolicyStats, PredictiveConfig, PredictiveController, PredictiveControllerState,
-    StaticController, StaticControllerState, StaticDegreeConfig, ThrottlePolicy, IPEX_NVFF_BITS,
+    AnyPolicy, HysteresisConfig, HysteresisController, PolicyConfig, PolicyStats, PredictiveConfig,
+    PredictiveController, StaticController, StaticDegreeConfig, ThrottlePolicy, IPEX_NVFF_BITS,
     PREDICTIVE_NVFF_BITS,
 };
 pub use registers::IpexRegisters;

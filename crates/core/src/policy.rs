@@ -41,11 +41,15 @@
 //!    for the evaluation figures; free, like `SimResult` itself.
 //!
 //! Snapshot/resume (a *simulator* checkpoint, orthogonal to power
-//! failure) captures all three via [`ehs_mem::Persist`].
+//! failure) captures all three via [`ehs_mem::Persist`]. Every
+//! controller, and [`AnyPolicy`] around them, serializes as itself: a
+//! snapshot holds the policy, and importing one checks it against the
+//! configured controller (same valid configuration, same table and
+//! ladder sizes) before copying it in.
 
 use serde::{Deserialize, Serialize};
 
-use crate::controller::{IpexController, IpexControllerState, Mode};
+use crate::controller::{IpexController, Mode};
 use crate::IpexConfig;
 use ehs_mem::Persist;
 
@@ -162,56 +166,6 @@ pub trait ThrottlePolicy {
     }
 }
 
-impl ThrottlePolicy for IpexController {
-    fn kind_name(&self) -> &'static str {
-        "ipex"
-    }
-
-    fn observe_voltage(&mut self, voltage: f64) -> Option<Vec<u32>> {
-        IpexController::observe_voltage(self, voltage)
-    }
-
-    fn filter(&mut self, candidates: &mut Vec<u32>) -> usize {
-        IpexController::filter(self, candidates)
-    }
-
-    fn on_power_failure(&mut self) {
-        IpexController::on_power_failure(self)
-    }
-
-    fn on_reboot(&mut self) {
-        IpexController::on_reboot(self)
-    }
-
-    fn stats(&self) -> PolicyStats {
-        IpexController::stats(self)
-    }
-
-    fn current_degree(&self) -> u32 {
-        IpexController::current_degree(self)
-    }
-
-    fn thresholds(&self) -> &[f64] {
-        IpexController::thresholds(self)
-    }
-
-    fn nvff_bits(&self) -> u32 {
-        IPEX_NVFF_BITS
-    }
-
-    fn skippable_observations(&self) -> u64 {
-        // `observe_voltage` only acts when the threshold-count level
-        // changes, which cannot happen while the voltage stays strictly
-        // between two adjacent thresholds.
-        u64::MAX
-    }
-
-    fn adaptations(&self) -> u64 {
-        let s = IpexController::stats(self);
-        s.threshold_lowers + s.threshold_raises
-    }
-}
-
 // ---------------------------------------------------------------------
 // Static-degree family (related-work stand-ins)
 // ---------------------------------------------------------------------
@@ -255,20 +209,11 @@ impl StaticDegreeConfig {
     }
 }
 
-/// Complete serializable state of a [`StaticController`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StaticControllerState {
-    /// Configuration the controller was built with.
-    pub cfg: StaticDegreeConfig,
-    /// Counters at the time of the export.
-    pub stats: PolicyStats,
-}
-
 /// Fixed-degree throttling: every candidate list is truncated to the
 /// configured degree, regardless of voltage. No nonvolatile state, no
 /// adaptation — the related-work baseline the adaptive policies are
 /// measured against.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StaticController {
     cfg: StaticDegreeConfig,
     stats: PolicyStats,
@@ -294,6 +239,13 @@ impl StaticController {
     /// The configuration the controller was built with.
     pub fn config(&self) -> &StaticDegreeConfig {
         &self.cfg
+    }
+
+    /// The restore check: a saved controller's configuration must be
+    /// consistent and equal this one's.
+    fn check_shape(&self, saved: &StaticController) -> Result<(), String> {
+        saved.cfg.validate()?;
+        same_cfg(&saved.cfg, &self.cfg)
     }
 }
 
@@ -335,24 +287,6 @@ impl ThrottlePolicy for StaticController {
     fn skippable_observations(&self) -> u64 {
         // `observe_voltage` is a no-op everywhere, not just in a band.
         u64::MAX
-    }
-}
-
-impl Persist for StaticController {
-    type State = StaticControllerState;
-
-    fn export_state(&self) -> StaticControllerState {
-        StaticControllerState {
-            cfg: self.cfg,
-            stats: self.stats,
-        }
-    }
-
-    fn import_state(&mut self, state: &StaticControllerState) -> Result<(), String> {
-        state.cfg.validate()?;
-        same_cfg(&state.cfg, &self.cfg)?;
-        self.stats = state.stats;
-        Ok(())
     }
 }
 
@@ -426,20 +360,6 @@ impl HysteresisConfig {
     }
 }
 
-/// Complete serializable state of a [`HysteresisController`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HysteresisControllerState {
-    /// Configuration the controller was built with.
-    pub cfg: HysteresisConfig,
-    /// Filtered voltage, `None` until the first observation of the
-    /// current power cycle.
-    pub ewma: Option<f64>,
-    /// Operating mode.
-    pub mode: Mode,
-    /// Counters at the time of the export.
-    pub stats: PolicyStats,
-}
-
 /// EWMA-smoothed two-point hysteresis throttling: a single low/high
 /// voltage band on the *filtered* capacitor voltage switches between an
 /// unthrottled high-performance mode and a fixed low degree.
@@ -449,9 +369,11 @@ pub struct HysteresisControllerState {
 /// the decision depends on the running average, *every* voltage
 /// observation matters: [`ThrottlePolicy::skippable_observations`] is
 /// 0 and the simulator takes the exact per-instruction path.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HysteresisController {
     cfg: HysteresisConfig,
+    /// Filtered voltage, `None` until the first observation of the
+    /// current power cycle.
     ewma: Option<f64>,
     mode: Mode,
     stats: PolicyStats,
@@ -491,6 +413,13 @@ impl HysteresisController {
     /// The current operating mode.
     pub fn mode(&self) -> Mode {
         self.mode
+    }
+
+    /// The restore check: a saved controller's configuration must be
+    /// consistent and equal this one's.
+    fn check_shape(&self, saved: &HysteresisController) -> Result<(), String> {
+        saved.cfg.validate()?;
+        same_cfg(&saved.cfg, &self.cfg)
     }
 }
 
@@ -553,28 +482,6 @@ impl ThrottlePolicy for HysteresisController {
             Mode::HighPerformance => self.cfg.initial_degree,
             Mode::EnergySaving => self.cfg.low_degree,
         }
-    }
-}
-
-impl Persist for HysteresisController {
-    type State = HysteresisControllerState;
-
-    fn export_state(&self) -> HysteresisControllerState {
-        HysteresisControllerState {
-            cfg: self.cfg,
-            ewma: self.ewma,
-            mode: self.mode,
-            stats: self.stats,
-        }
-    }
-
-    fn import_state(&mut self, state: &HysteresisControllerState) -> Result<(), String> {
-        state.cfg.validate()?;
-        same_cfg(&state.cfg, &self.cfg)?;
-        self.ewma = state.ewma;
-        self.mode = state.mode;
-        self.stats = state.stats;
-        Ok(())
     }
 }
 
@@ -682,33 +589,6 @@ impl PredictiveConfig {
     }
 }
 
-/// Complete serializable state of a [`PredictiveController`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PredictiveControllerState {
-    /// Configuration the controller was built with.
-    pub cfg: PredictiveConfig,
-    /// Flattened transition table, `context * classes + class`.
-    pub table: Vec<u32>,
-    /// Voltage bin of the previous sample, if any this power cycle.
-    pub prev_level: Option<u8>,
-    /// Active context (`prev_bin * bins + cur_bin`), if two samples have
-    /// been taken this power cycle.
-    pub context: Option<u8>,
-    /// Observations since the last sample point.
-    pub obs_count: u32,
-    /// Observations since the current power cycle began.
-    pub obs_since_reboot: u64,
-    /// Current degree decision.
-    pub degree: u32,
-    /// Operating mode implied by the degree.
-    pub mode: Mode,
-    /// Counters at the time of the export.
-    pub stats: PolicyStats,
-    /// Transition-table updates so far (see
-    /// [`ThrottlePolicy::adaptations`]).
-    pub adaptations: u64,
-}
-
 /// Confidence-weighted predictive throttling.
 ///
 /// Instead of reacting to the instantaneous voltage (IPEX) or a filtered
@@ -736,19 +616,28 @@ pub struct PredictiveControllerState {
 ///
 /// The table is NVFF-resident ([`PREDICTIVE_NVFF_BITS`] charged to every
 /// backup); the sampled history and interval counter are volatile.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PredictiveController {
     cfg: PredictiveConfig,
     /// Flattened `PREDICTIVE_CONTEXTS x PREDICTIVE_INTERVAL_CLASSES`
-    /// counter table (NVFF).
+    /// counter table (NVFF), `context * classes + class`.
     table: Vec<u32>,
+    /// Voltage bin of the previous sample, if any this power cycle.
     prev_level: Option<u8>,
+    /// Active context (`prev_bin * bins + cur_bin`), if two samples have
+    /// been taken this power cycle.
     context: Option<u8>,
+    /// Observations since the last sample point.
     obs_count: u32,
+    /// Observations since the current power cycle began.
     obs_since_reboot: u64,
+    /// Current degree decision.
     degree: u32,
+    /// Operating mode implied by the degree.
     mode: Mode,
     stats: PolicyStats,
+    /// Transition-table updates so far (see
+    /// [`ThrottlePolicy::adaptations`]).
     adaptations: u64,
 }
 
@@ -791,6 +680,34 @@ impl PredictiveController {
     /// (`context * classes + class`).
     pub fn table(&self) -> &[u32] {
         &self.table
+    }
+
+    /// The restore check: a saved controller's configuration must be
+    /// consistent and equal this one's, its table the same size, and its
+    /// voltage bin and context inside the table (both index it).
+    fn check_shape(&self, saved: &PredictiveController) -> Result<(), String> {
+        saved.cfg.validate()?;
+        same_cfg(&saved.cfg, &self.cfg)?;
+        if saved.table.len() != self.table.len() {
+            return Err(format!(
+                "predictive table has {} entries, expected {}",
+                saved.table.len(),
+                self.table.len()
+            ));
+        }
+        if saved
+            .prev_level
+            .is_some_and(|l| l as usize >= PREDICTIVE_VOLTAGE_BINS)
+            || saved
+                .context
+                .is_some_and(|c| c as usize >= PREDICTIVE_CONTEXTS)
+        {
+            return Err(format!(
+                "predictive voltage bin {:?} or context {:?} out of range",
+                saved.prev_level, saved.context
+            ));
+        }
+        Ok(())
     }
 
     /// Quantizes a voltage into its bin, saturating at the range ends.
@@ -957,61 +874,6 @@ impl ThrottlePolicy for PredictiveController {
     }
 }
 
-impl Persist for PredictiveController {
-    type State = PredictiveControllerState;
-
-    fn export_state(&self) -> PredictiveControllerState {
-        PredictiveControllerState {
-            cfg: self.cfg,
-            table: self.table.clone(),
-            prev_level: self.prev_level,
-            context: self.context,
-            obs_count: self.obs_count,
-            obs_since_reboot: self.obs_since_reboot,
-            degree: self.degree,
-            mode: self.mode,
-            stats: self.stats,
-            adaptations: self.adaptations,
-        }
-    }
-
-    /// Also rejects a table of another size, and a voltage bin or
-    /// context outside the table (both index it).
-    fn import_state(&mut self, state: &PredictiveControllerState) -> Result<(), String> {
-        state.cfg.validate()?;
-        same_cfg(&state.cfg, &self.cfg)?;
-        if state.table.len() != self.table.len() {
-            return Err(format!(
-                "predictive table has {} entries, expected {}",
-                state.table.len(),
-                self.table.len()
-            ));
-        }
-        if state
-            .prev_level
-            .is_some_and(|l| l as usize >= PREDICTIVE_VOLTAGE_BINS)
-            || state
-                .context
-                .is_some_and(|c| c as usize >= PREDICTIVE_CONTEXTS)
-        {
-            return Err(format!(
-                "predictive voltage bin {:?} or context {:?} out of range",
-                state.prev_level, state.context
-            ));
-        }
-        self.table.copy_from_slice(&state.table);
-        self.prev_level = state.prev_level;
-        self.context = state.context;
-        self.obs_count = state.obs_count;
-        self.obs_since_reboot = state.obs_since_reboot;
-        self.degree = state.degree;
-        self.mode = state.mode;
-        self.stats = state.stats;
-        self.adaptations = state.adaptations;
-        Ok(())
-    }
-}
-
 // ---------------------------------------------------------------------
 // PolicyConfig — the serializable choice of policy
 // ---------------------------------------------------------------------
@@ -1092,44 +954,16 @@ impl PolicyConfig {
 // AnyPolicy — the closed enum the simulator embeds
 // ---------------------------------------------------------------------
 
-/// Serializable state of an [`AnyPolicy`], for snapshot/resume.
-///
-/// The `passthrough` and `ipex` variants keep the exact wire names of
-/// the two-variant throttle state that predates the policy layer, so
-/// pre-existing snapshots parse unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
-pub enum PolicyState {
-    /// Stateless passthrough.
-    Passthrough,
-    /// Full IPEX controller state (boxed: it dwarfs the small variants).
-    Ipex(Box<IpexControllerState>),
-    /// Full predictive-controller state (boxed: it carries the table).
-    Predictive(Box<PredictiveControllerState>),
-    /// Full hysteresis-controller state.
-    Hysteresis(Box<HysteresisControllerState>),
-    /// Full static-controller state.
-    StaticDegree(StaticControllerState),
-}
-
-impl PolicyState {
-    /// Stable kebab-case name of the policy this state belongs to
-    /// (matches [`AnyPolicy::kind_name`]).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            PolicyState::Passthrough => "passthrough",
-            PolicyState::Ipex(_) => "ipex",
-            PolicyState::Predictive(_) => "predictive",
-            PolicyState::Hysteresis(_) => "hysteresis",
-            PolicyState::StaticDegree(_) => "static-degree",
-        }
-    }
-}
-
 /// Any throttling policy (or none), dispatched by direct match — the
 /// value the simulator embeds per memory path. See the module docs for
 /// the policy roster and the enum-over-dyn rationale.
-#[derive(Debug, Clone)]
+///
+/// The enum is also its own snapshot wire form, externally tagged by
+/// kind. The `passthrough` and `ipex` variants keep the exact wire
+/// names of the two-variant throttle state that predates the policy
+/// layer, so pre-existing snapshots parse unchanged.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum AnyPolicy {
     /// Conventional prefetching: candidates pass through untouched.
     Passthrough,
@@ -1239,28 +1073,30 @@ impl AnyPolicy {
 }
 
 impl Persist for AnyPolicy {
-    type State = PolicyState;
+    type State = AnyPolicy;
 
-    fn export_state(&self) -> PolicyState {
-        match self {
-            AnyPolicy::Passthrough => PolicyState::Passthrough,
-            AnyPolicy::Ipex(c) => PolicyState::Ipex(Box::new(c.export_state())),
-            AnyPolicy::Predictive(c) => PolicyState::Predictive(Box::new(c.export_state())),
-            AnyPolicy::Hysteresis(c) => PolicyState::Hysteresis(Box::new(c.export_state())),
-            AnyPolicy::StaticDegree(c) => PolicyState::StaticDegree(c.export_state()),
-        }
+    fn export_state(&self) -> AnyPolicy {
+        self.clone()
     }
 
     /// Rejects a state of another policy kind, and propagates the
     /// controller's error for a state whose configuration is invalid or
     /// differs from this controller's.
-    fn import_state(&mut self, state: &PolicyState) -> Result<(), String> {
+    fn import_state(&mut self, state: &AnyPolicy) -> Result<(), String> {
         match (self, state) {
-            (AnyPolicy::Passthrough, PolicyState::Passthrough) => Ok(()),
-            (AnyPolicy::Ipex(c), PolicyState::Ipex(s)) => c.import_state(s),
-            (AnyPolicy::Predictive(c), PolicyState::Predictive(s)) => c.import_state(s),
-            (AnyPolicy::Hysteresis(c), PolicyState::Hysteresis(s)) => c.import_state(s),
-            (AnyPolicy::StaticDegree(c), PolicyState::StaticDegree(s)) => c.import_state(s),
+            (AnyPolicy::Passthrough, AnyPolicy::Passthrough) => Ok(()),
+            (AnyPolicy::Ipex(c), AnyPolicy::Ipex(s)) => {
+                restore(&mut **c, s, IpexController::check_shape)
+            }
+            (AnyPolicy::Predictive(c), AnyPolicy::Predictive(s)) => {
+                restore(&mut **c, s, PredictiveController::check_shape)
+            }
+            (AnyPolicy::Hysteresis(c), AnyPolicy::Hysteresis(s)) => {
+                restore(&mut **c, s, HysteresisController::check_shape)
+            }
+            (AnyPolicy::StaticDegree(c), AnyPolicy::StaticDegree(s)) => {
+                restore(c, s, StaticController::check_shape)
+            }
             (live, _) => Err(format!(
                 "state is a '{}' policy but the config builds '{}'",
                 state.kind_name(),
@@ -1268,6 +1104,17 @@ impl Persist for AnyPolicy {
             )),
         }
     }
+}
+
+/// Copies `saved` over `live` once `check` accepts it.
+fn restore<C: Clone>(
+    live: &mut C,
+    saved: &C,
+    check: fn(&C, &C) -> Result<(), String>,
+) -> Result<(), String> {
+    check(live, saved)?;
+    *live = saved.clone();
+    Ok(())
 }
 
 /// The restore rule every controller shares: no controller mutates its
@@ -1337,7 +1184,7 @@ mod tests {
             let state = p.export_state();
             assert_eq!(state.kind_name(), p.kind_name());
             let json = serde_json::to_string(&state).unwrap();
-            let back: PolicyState = serde_json::from_str(&json).unwrap();
+            let back: AnyPolicy = serde_json::from_str(&json).unwrap();
             restored.import_state(&back).unwrap();
             assert_eq!(restored.export_state(), state, "{}", p.kind_name());
         }
@@ -1400,29 +1247,32 @@ mod tests {
     /// context; an out-of-range one is rejected, not carried into a run.
     #[test]
     fn predictive_import_rejects_out_of_range_indices() {
-        let fresh = || PredictiveController::new(PredictiveConfig::paper_default());
-        let good = fresh().export_state();
+        let fresh = || PolicyConfig::Predictive(PredictiveConfig::paper_default()).build();
+        let good = PredictiveController::new(PredictiveConfig::paper_default());
         for bad in [
-            PredictiveControllerState {
+            PredictiveController {
                 prev_level: Some(PREDICTIVE_VOLTAGE_BINS as u8),
                 ..good.clone()
             },
-            PredictiveControllerState {
+            PredictiveController {
                 context: Some(PREDICTIVE_CONTEXTS as u8),
                 ..good.clone()
             },
         ] {
+            let bad = AnyPolicy::Predictive(Box::new(bad));
             let err = fresh().import_state(&bad).unwrap_err();
             assert!(err.contains("out of range"), "{err}");
         }
-        fresh().import_state(&good).unwrap();
+        fresh()
+            .import_state(&AnyPolicy::Predictive(Box::new(good)))
+            .unwrap();
     }
 
     #[test]
     fn legacy_wire_names_preserved() {
         // Pre-redesign snapshots carry exactly these two forms.
         assert_eq!(
-            serde_json::to_string(&PolicyState::Passthrough).unwrap(),
+            serde_json::to_string(&AnyPolicy::Passthrough).unwrap(),
             "\"passthrough\""
         );
         let ipex = AnyPolicy::ipex(IpexConfig::paper_default()).export_state();
@@ -1621,11 +1471,10 @@ mod tests {
         let table_after: u32 = c.table().iter().sum();
         assert!(table_after > 0, "outages were recorded");
         // Volatile history gone after the last failure/reboot.
-        let st = Persist::export_state(&c);
-        assert_eq!(st.prev_level, None);
-        assert_eq!(st.context, None);
-        assert_eq!(st.obs_since_reboot, 0);
-        assert_eq!(st.stats.power_cycles, 5);
+        assert_eq!(c.prev_level, None);
+        assert_eq!(c.context, None);
+        assert_eq!(c.obs_since_reboot, 0);
+        assert_eq!(c.stats.power_cycles, 5);
     }
 
     #[test]

@@ -20,7 +20,10 @@
 /// so implementors keep control of their serde attributes) and carry
 /// *everything* needed to continue bit-identically — importing an
 /// exported state into a freshly built component and running `m` more
-/// cycles must be indistinguishable from never having stopped.
+/// cycles must be indistinguishable from never having stopped. Where the
+/// component itself serializes, it is its own state (`State = Self`,
+/// as for the prefetcher and throttling-policy enums): export is a
+/// copy, and import checks the copy's shape before taking it over.
 pub trait Persist {
     /// The serializable wire form of the component's state.
     type State;

@@ -3,26 +3,38 @@
 //! The simulator's hot loop calls [`Prefetcher::observe`] on every
 //! demand access. Through a `Box<dyn Prefetcher>` that is an indirect
 //! call the compiler cannot inline; [`AnyPrefetcher`] replaces it with
-//! a direct match over the seven concrete kinds, which inlines and
-//! branch-predicts (the kind never changes within a run). DESIGN.md §8
-//! records the difference measured when the enum replaced the box.
+//! a direct match over the six concrete kinds and "none", which inlines
+//! and branch-predicts (the kind never changes within a run). DESIGN.md
+//! §8 records the difference measured when the enum replaced the box.
 //!
 //! Behaviour is delegated verbatim, so an `AnyPrefetcher` is
 //! observationally identical to the boxed prefetcher of the same kind.
+//!
+//! The enum is also its own snapshot wire form: externally tagged, so a
+//! snapshot records *which* kind was running (`"none"` for no
+//! prefetcher) as well as its tables.
 
 use ehs_mem::Persist;
+use serde::{Deserialize, Serialize};
 
 use crate::{
-    AccessEvent, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher, NullPrefetcher, Prefetcher,
-    PrefetcherState, SequentialPrefetcher, Shape, StridePrefetcher, TifsPrefetcher,
+    AccessEvent, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher, Prefetcher,
+    SequentialPrefetcher, StridePrefetcher, TifsPrefetcher,
 };
 
-/// Any of the seven concrete prefetchers, dispatched by direct match
-/// instead of vtable (see the module docs).
-#[derive(Debug, Clone)]
+/// The fields of a prefetcher that construction fixes and no run
+/// mutates (degree, table geometry), as `(name, value)` pairs in a
+/// fixed order per kind.
+pub(crate) type Shape = Vec<(&'static str, u64)>;
+
+/// Any of the six concrete prefetchers or none, dispatched by direct
+/// match instead of vtable (see the module docs).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum AnyPrefetcher {
-    /// The stateless null prefetcher.
-    Null(NullPrefetcher),
+    /// No prefetching: the prefetch-free baselines (e.g. "NVSRAMCache
+    /// (No Prefetcher)" in Figs. 10/11).
+    None,
     /// Next-N-line sequential instruction prefetcher.
     Sequential(SequentialPrefetcher),
     /// Markov correlation instruction prefetcher.
@@ -38,9 +50,9 @@ pub enum AnyPrefetcher {
 }
 
 macro_rules! delegate {
-    ($self:expr, $p:ident => $body:expr) => {
+    ($self:expr, $p:ident => $body:expr, $none:expr) => {
         match $self {
-            AnyPrefetcher::Null($p) => $body,
+            AnyPrefetcher::None => $none,
             AnyPrefetcher::Sequential($p) => $body,
             AnyPrefetcher::Markov($p) => $body,
             AnyPrefetcher::Tifs($p) => $body,
@@ -53,62 +65,54 @@ macro_rules! delegate {
 
 impl Prefetcher for AnyPrefetcher {
     fn name(&self) -> &'static str {
-        delegate!(self, p => p.name())
+        delegate!(self, p => p.name(), "none")
     }
 
     fn max_degree(&self) -> u32 {
-        delegate!(self, p => p.max_degree())
+        delegate!(self, p => p.max_degree(), 0)
     }
 
     #[inline]
     fn observe(&mut self, event: &AccessEvent, out: &mut Vec<u32>) {
-        delegate!(self, p => p.observe(event, out))
+        delegate!(self, p => p.observe(event, out), ())
     }
 
     fn power_loss(&mut self) {
-        delegate!(self, p => p.power_loss())
+        delegate!(self, p => p.power_loss(), ())
     }
 }
 
 impl Persist for AnyPrefetcher {
-    type State = PrefetcherState;
+    type State = AnyPrefetcher;
 
-    fn export_state(&self) -> PrefetcherState {
-        match self {
-            AnyPrefetcher::Null(_) => PrefetcherState::None,
-            AnyPrefetcher::Sequential(p) => PrefetcherState::Sequential(p.clone()),
-            AnyPrefetcher::Markov(p) => PrefetcherState::Markov(p.clone()),
-            AnyPrefetcher::Tifs(p) => PrefetcherState::Tifs(p.clone()),
-            AnyPrefetcher::Stride(p) => PrefetcherState::Stride(p.clone()),
-            AnyPrefetcher::Ghb(p) => PrefetcherState::Ghb(p.clone()),
-            AnyPrefetcher::BestOffset(p) => PrefetcherState::BestOffset(p.clone()),
-        }
+    fn export_state(&self) -> AnyPrefetcher {
+        self.clone()
     }
 
     /// Rejects a state of another kind, or one whose degree or table
     /// geometry differs from this prefetcher's.
-    fn import_state(&mut self, state: &PrefetcherState) -> Result<(), String> {
+    fn import_state(&mut self, state: &AnyPrefetcher) -> Result<(), String> {
         match (self, state) {
-            (AnyPrefetcher::Null(_), PrefetcherState::None) => Ok(()),
-            (AnyPrefetcher::Sequential(p), PrefetcherState::Sequential(s)) => {
+            (AnyPrefetcher::None, AnyPrefetcher::None) => Ok(()),
+            (AnyPrefetcher::Sequential(p), AnyPrefetcher::Sequential(s)) => {
                 restore(p, s, SequentialPrefetcher::shape)
             }
-            (AnyPrefetcher::Markov(p), PrefetcherState::Markov(s)) => {
+            (AnyPrefetcher::Markov(p), AnyPrefetcher::Markov(s)) => {
                 restore(p, s, MarkovPrefetcher::shape)
             }
-            (AnyPrefetcher::Tifs(p), PrefetcherState::Tifs(s)) => {
+            (AnyPrefetcher::Tifs(p), AnyPrefetcher::Tifs(s)) => {
                 restore(p, s, TifsPrefetcher::shape)
             }
-            (AnyPrefetcher::Stride(p), PrefetcherState::Stride(s)) => {
+            (AnyPrefetcher::Stride(p), AnyPrefetcher::Stride(s)) => {
                 restore(p, s, StridePrefetcher::shape)
             }
-            (AnyPrefetcher::Ghb(p), PrefetcherState::Ghb(s)) => restore(p, s, GhbPrefetcher::shape),
-            (AnyPrefetcher::BestOffset(p), PrefetcherState::BestOffset(s)) => {
+            (AnyPrefetcher::Ghb(p), AnyPrefetcher::Ghb(s)) => restore(p, s, GhbPrefetcher::shape),
+            (AnyPrefetcher::BestOffset(p), AnyPrefetcher::BestOffset(s)) => {
                 restore(p, s, BestOffsetPrefetcher::shape)
             }
             (live, _) => Err(format!(
                 "state is a '{}' prefetcher but the config builds '{}'",
-                state.kind_name(),
+                state.name(),
                 live.name()
             )),
         }
@@ -177,5 +181,122 @@ mod tests {
                 assert_eq!(a_out, b_out, "divergence at access {i}");
             }
         }
+    }
+
+    fn exercise(p: &mut dyn Prefetcher) {
+        let mut out = Vec::new();
+        for i in 0..64u32 {
+            p.observe(
+                &AccessEvent::data(
+                    0x40 + (i % 4) * 4,
+                    0x1000 + i * 0x10,
+                    AccessOutcome::Miss,
+                    false,
+                ),
+                &mut out,
+            );
+        }
+    }
+
+    /// One prefetcher of every kind, built as the configuration builds
+    /// it (degree 2, default tables).
+    fn every_kind() -> [AnyPrefetcher; 7] {
+        [
+            AnyPrefetcher::None,
+            AnyPrefetcher::Sequential(SequentialPrefetcher::new(2)),
+            AnyPrefetcher::Markov(MarkovPrefetcher::new(2)),
+            AnyPrefetcher::Tifs(TifsPrefetcher::new(2)),
+            AnyPrefetcher::Stride(StridePrefetcher::new(2)),
+            AnyPrefetcher::Ghb(GhbPrefetcher::new(2)),
+            AnyPrefetcher::BestOffset(BestOffsetPrefetcher::new(2)),
+        ]
+    }
+
+    #[test]
+    fn round_trip_preserves_behaviour() {
+        for (mut p, mut q) in every_kind().into_iter().zip(every_kind()) {
+            exercise(&mut p);
+            let state = p.export_state();
+            let json = serde_json::to_string(&state).unwrap();
+            let back: AnyPrefetcher = serde_json::from_str(&json).unwrap();
+            q.import_state(&back).unwrap();
+            assert_eq!(back.name(), p.name());
+            // Re-serializing the restored state is byte-identical.
+            assert_eq!(serde_json::to_string(&q.export_state()).unwrap(), json);
+            // Identical state must produce identical future candidates.
+            let ev = AccessEvent::data(0x44, 0x2000, AccessOutcome::Miss, false);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            p.observe(&ev, &mut a);
+            q.observe(&ev, &mut b);
+            assert_eq!(a, b, "{} diverged after round trip", p.name());
+        }
+    }
+
+    #[test]
+    fn import_rejects_another_kind() {
+        for (i, mut p) in every_kind().into_iter().enumerate() {
+            for (j, other) in every_kind().iter().enumerate() {
+                let result = p.import_state(&other.export_state());
+                assert_eq!(result.is_ok(), i == j, "{} <- {}", p.name(), other.name());
+                if let Err(e) = result {
+                    assert!(e.contains(p.name()) && e.contains(other.name()), "{e}");
+                }
+            }
+        }
+    }
+
+    /// A state of the right kind but from a prefetcher built with
+    /// another degree or table size is rejected, naming the field.
+    #[test]
+    fn import_rejects_another_shape() {
+        let cases = [
+            (
+                AnyPrefetcher::Sequential(SequentialPrefetcher::new(1)),
+                "degree",
+            ),
+            (AnyPrefetcher::Markov(MarkovPrefetcher::new(1)), "degree"),
+            (
+                AnyPrefetcher::Markov(MarkovPrefetcher::with_table_size(2, 32)),
+                "index_mask",
+            ),
+            (AnyPrefetcher::Tifs(TifsPrefetcher::new(1)), "degree"),
+            (
+                AnyPrefetcher::Tifs(TifsPrefetcher::with_log_size(2, 256)),
+                "capacity",
+            ),
+            (AnyPrefetcher::Stride(StridePrefetcher::new(1)), "degree"),
+            (
+                AnyPrefetcher::Stride(StridePrefetcher::with_table_size(2, 32)),
+                "index_mask",
+            ),
+            (AnyPrefetcher::Ghb(GhbPrefetcher::new(1)), "degree"),
+            (
+                AnyPrefetcher::Ghb(GhbPrefetcher::with_history_size(2, 128)),
+                "capacity",
+            ),
+            (
+                AnyPrefetcher::BestOffset(BestOffsetPrefetcher::new(1)),
+                "degree",
+            ),
+        ];
+        for (other, field) in cases {
+            let mut p = every_kind()
+                .into_iter()
+                .find(|p| p.name() == other.name())
+                .unwrap();
+            let err = p.import_state(&other.export_state()).unwrap_err();
+            assert!(err.contains(field), "{}: {err}", other.name());
+        }
+    }
+
+    #[test]
+    fn none_never_emits_and_serializes_as_a_bare_name() {
+        let mut p = AnyPrefetcher::None;
+        assert_eq!(serde_json::to_string(&p).unwrap(), "\"none\"");
+        let mut out = Vec::new();
+        p.observe(&AccessEvent::fetch(0x100, AccessOutcome::Miss), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(p.max_degree(), 0);
+        p.power_loss();
     }
 }

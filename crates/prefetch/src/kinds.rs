@@ -4,8 +4,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    AnyPrefetcher, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher, NullPrefetcher,
-    SequentialPrefetcher, StridePrefetcher, TifsPrefetcher,
+    AnyPrefetcher, BestOffsetPrefetcher, GhbPrefetcher, MarkovPrefetcher, SequentialPrefetcher,
+    StridePrefetcher, TifsPrefetcher,
 };
 
 /// Instruction-prefetcher selection (Table 3).
@@ -44,7 +44,7 @@ impl InstPrefetcherKind {
     /// enum-dispatched [`AnyPrefetcher`] the simulator's hot loop uses.
     pub fn build_any(self, degree: u32) -> AnyPrefetcher {
         match self {
-            InstPrefetcherKind::None => AnyPrefetcher::Null(NullPrefetcher::new()),
+            InstPrefetcherKind::None => AnyPrefetcher::None,
             InstPrefetcherKind::Sequential => {
                 AnyPrefetcher::Sequential(SequentialPrefetcher::new(degree))
             }
@@ -90,7 +90,7 @@ impl DataPrefetcherKind {
     /// enum-dispatched [`AnyPrefetcher`] the simulator's hot loop uses.
     pub fn build_any(self, degree: u32) -> AnyPrefetcher {
         match self {
-            DataPrefetcherKind::None => AnyPrefetcher::Null(NullPrefetcher::new()),
+            DataPrefetcherKind::None => AnyPrefetcher::None,
             DataPrefetcherKind::Stride => AnyPrefetcher::Stride(StridePrefetcher::new(degree)),
             DataPrefetcherKind::Ghb => AnyPrefetcher::Ghb(GhbPrefetcher::new(degree)),
             DataPrefetcherKind::BestOffset => {

@@ -28,22 +28,18 @@ mod event;
 mod ghb;
 mod kinds;
 mod markov;
-mod null;
 mod sequential;
-mod state;
 mod stride;
 mod tifs;
 
 pub use any::AnyPrefetcher;
+use any::Shape;
 pub use best_offset::BestOffsetPrefetcher;
 pub use event::{AccessEvent, AccessOutcome};
 pub use ghb::GhbPrefetcher;
 pub use kinds::{DataPrefetcherKind, InstPrefetcherKind};
 pub use markov::MarkovPrefetcher;
-pub use null::NullPrefetcher;
 pub use sequential::SequentialPrefetcher;
-pub use state::PrefetcherState;
-use state::Shape;
 pub use stride::StridePrefetcher;
 pub use tifs::TifsPrefetcher;
 
@@ -59,10 +55,10 @@ pub const MAX_DEGREE: u32 = 4;
 /// to issue.
 ///
 /// Snapshot/resume is not part of this trait: the simulator holds an
-/// [`AnyPrefetcher`], whose [`ehs_mem::Persist`] impl exports a
-/// [`PrefetcherState`] and imports one into the prefetcher the
-/// configuration built, rejecting a different kind, degree or table
-/// geometry.
+/// [`AnyPrefetcher`], which is its own wire form. Its
+/// [`ehs_mem::Persist`] impl exports a copy of itself and imports a
+/// saved one into the prefetcher the configuration built, rejecting a
+/// different kind, degree or table geometry.
 pub trait Prefetcher {
     /// Short name used in reports (e.g. `"stride"`).
     fn name(&self) -> &'static str;

@@ -10,10 +10,10 @@
 //!
 //! * map keys are sorted recursively (struct-field declaration order and
 //!   any future field reordering cannot change the digest),
-//! * output is compact (no whitespace),
-//! * floats render exactly as the vendored `serde_json` writer renders
-//!   them (shortest round-trip, integral values as `1.0`), so a config
-//!   that round-trips through JSON hashes identically.
+//! * output is compact (no whitespace), rendered by the vendored
+//!   `serde_json` writer itself (shortest round-trip floats, integral
+//!   values as `1.0`), so a config that round-trips through JSON hashes
+//!   identically.
 //!
 //! The digest itself is 64-bit FNV-1a — the same construction the
 //! verification oracle already uses for memory digests: tiny, portable,
@@ -40,9 +40,35 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// Renders any serializable value as canonical JSON: compact, with all
 /// map keys sorted recursively.
 pub fn canonical_json<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
-    write_canonical(&value.to_content(), &mut out);
-    out
+    compact(&Sorted(value))
+}
+
+/// `value` with every map's entries sorted by key, recursively. The
+/// sort happens while its `Content` tree is built, so the writer renders
+/// that tree without copying it again.
+struct Sorted<'a, T: ?Sized>(&'a T);
+
+impl<T: Serialize + ?Sized> Serialize for Sorted<'_, T> {
+    fn to_content(&self) -> Content {
+        fn sort_keys(c: &mut Content) {
+            match c {
+                Content::Seq(items) => items.iter_mut().for_each(sort_keys),
+                Content::Map(entries) => {
+                    entries.sort_by(|a, b| a.0.cmp(&b.0));
+                    entries.iter_mut().for_each(|(_, v)| sort_keys(v));
+                }
+                _ => {}
+            }
+        }
+        let mut content = self.0.to_content();
+        sort_keys(&mut content);
+        content
+    }
+}
+
+/// Compact JSON through the vendored `serde_json` writer.
+fn compact<T: Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).expect("rendering a Content tree cannot fail")
 }
 
 /// Convenience: the FNV-1a 64 digest of a value's canonical JSON.
@@ -127,77 +153,12 @@ fn diff_content(a: &Content, b: &Content, path: &str, out: &mut Vec<String>) {
             }
         }
         _ => {
-            let (mut ra, mut rb) = (String::new(), String::new());
-            write_canonical(a, &mut ra);
-            write_canonical(b, &mut rb);
+            let (ra, rb) = (compact(a), compact(b));
             if ra != rb {
                 out.push(format!("{}: {ra} != {rb}", label(path)));
             }
         }
     }
-}
-
-fn write_canonical(c: &Content, out: &mut String) {
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::U64(v) => out.push_str(&v.to_string()),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::F64(v) => write_f64(*v, out),
-        Content::Str(s) => write_str(s, out),
-        Content::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_canonical(item, out);
-            }
-            out.push(']');
-        }
-        Content::Map(entries) => {
-            let mut sorted: Vec<&(String, Content)> = entries.iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            out.push('{');
-            for (i, (k, v)) in sorted.into_iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_str(k, out);
-                out.push(':');
-                write_canonical(v, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Matches the vendored `serde_json` float rendering so values hash the
-/// same whether derived in-process or re-parsed from a cache file.
-fn write_f64(v: f64, out: &mut String) {
-    if !v.is_finite() {
-        out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e16 {
-        out.push_str(&format!("{v:.1}"));
-    } else {
-        out.push_str(&format!("{v}"));
-    }
-}
-
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -223,9 +184,10 @@ mod tests {
             ("beta".into(), inner.clone()),
             ("alpha".into(), Content::Bool(true)),
         ]);
-        let mut out = String::new();
-        write_canonical(&outer, &mut out);
-        assert_eq!(out, r#"{"alpha":true,"beta":{"a":2,"z":1}}"#);
+        assert_eq!(
+            canonical_json(&outer),
+            r#"{"alpha":true,"beta":{"a":2,"z":1}}"#
+        );
     }
 
     #[test]
@@ -238,9 +200,7 @@ mod tests {
             ("assoc".into(), Content::U64(4)),
             ("size_bytes".into(), Content::U64(2048)),
         ]);
-        let (mut a, mut b) = (String::new(), String::new());
-        write_canonical(&forward, &mut a);
-        write_canonical(&reversed, &mut b);
+        let (a, b) = (canonical_json(&forward), canonical_json(&reversed));
         assert_eq!(a, b);
         assert_eq!(fnv1a_64(a.as_bytes()), fnv1a_64(b.as_bytes()));
     }
@@ -262,15 +222,11 @@ mod tests {
 
     #[test]
     fn floats_render_like_serde_json() {
-        let mut out = String::new();
-        write_canonical(
-            &Content::Seq(vec![
-                Content::F64(1.0),
-                Content::F64(0.47),
-                Content::F64(f64::NAN),
-            ]),
-            &mut out,
-        );
+        let out = canonical_json(&Content::Seq(vec![
+            Content::F64(1.0),
+            Content::F64(0.47),
+            Content::F64(f64::NAN),
+        ]));
         assert_eq!(out, "[1.0,0.47,null]");
     }
 }

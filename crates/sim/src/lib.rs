@@ -52,7 +52,7 @@ pub use machine::{CycleMark, FaultPlan, Machine, RunStatus, SimError};
 pub use result::{SimResult, SimStats};
 pub use snapshot::{MemRun, Phase, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use trace::{
-    CountingSink, EventCounts, JsonlSink, NullSink, PathId, SimEvent, TraceMode, TraceSink, Tracer,
+    CountingSink, EventCounts, JsonlSink, PathId, SimEvent, TraceMode, TraceSink, Tracer,
 };
 
 /// The one-stop import for simulator users: machine, configuration
@@ -73,8 +73,7 @@ pub mod prelude {
     pub use crate::result::{SimResult, SimStats};
     pub use crate::snapshot::{Phase, Snapshot, SnapshotError};
     pub use crate::trace::{
-        CountingSink, EventCounts, JsonlSink, NullSink, PathId, SimEvent, TraceMode, TraceSink,
-        Tracer,
+        CountingSink, EventCounts, JsonlSink, PathId, SimEvent, TraceMode, TraceSink, Tracer,
     };
     pub use ehs_energy::{PowerTrace, TraceKind, TraceSpec};
 }

@@ -239,7 +239,7 @@ impl Machine {
             Tracer::from_mode(&cfg.trace).map_err(|e| ConfigError(format!("trace: {e}")))?;
         let build_path = |mode: &PrefetchMode, is_inst: bool| -> MemPath {
             let pf = match mode {
-                PrefetchMode::Off => AnyPrefetcher::Null(ehs_prefetch::NullPrefetcher::new()),
+                PrefetchMode::Off => AnyPrefetcher::None,
                 _ => {
                     if is_inst {
                         cfg.inst_prefetcher.build_any(cfg.prefetch_degree)
@@ -1959,7 +1959,7 @@ mod tests {
     /// configuration fails as a state error too.
     #[test]
     fn resume_names_policy_kinds_on_mismatch() {
-        use ipex::{PolicyConfig, PolicyState, PredictiveConfig};
+        use ipex::{AnyPolicy, PolicyConfig, PredictiveConfig};
         let program = tiny_program();
         let trace = PowerTrace::constant_mw(3.0, 16);
         let cfg = SimConfig::builder()
@@ -1986,7 +1986,7 @@ mod tests {
         // A doctored throttle state of the wrong kind is rejected as a
         // state error naming the path and both policy kinds.
         let mut doctored = snap.clone();
-        doctored.ithrottle = PolicyState::Passthrough;
+        doctored.ithrottle = AnyPolicy::Passthrough;
         match Machine::resume(&doctored, &program, trace.clone()) {
             Ok(_) => panic!("doctored snapshot must be rejected"),
             Err(SnapshotError::State(msg)) => {
@@ -2003,10 +2003,12 @@ mod tests {
         let mut m = Machine::with_trace(cfg, &program, trace.clone());
         assert!(matches!(m.run_until(40_000).unwrap(), RunStatus::Paused));
         let mut doctored = m.snapshot(&program);
-        let PolicyState::Ipex(state) = &mut doctored.ithrottle else {
-            panic!("IPEX machine exported a non-IPEX throttle state");
-        };
-        state.cfg.max_degree = 9;
+        // The controller's fields are private to its crate: edit its JSON.
+        let json = serde_json::to_string(&doctored.ithrottle).unwrap();
+        assert!(json.starts_with("{\"ipex\":"), "{json}");
+        assert_eq!(json.matches("\"max_degree\":4").count(), 1, "{json}");
+        doctored.ithrottle =
+            serde_json::from_str(&json.replace("\"max_degree\":4", "\"max_degree\":9")).unwrap();
         match Machine::resume(&doctored, &program, trace) {
             Ok(_) => panic!("invalid IPEX state must be rejected"),
             Err(SnapshotError::State(msg)) => assert!(msg.contains("3-bit"), "{msg}"),

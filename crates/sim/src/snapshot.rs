@@ -30,8 +30,8 @@
 use ehs_energy::{EnergyBreakdown, PowerTrace};
 use ehs_isa::{Interpreter, LoadImage, PAGE_BYTES};
 use ehs_mem::{BufferState, CacheState, NvmState};
-use ehs_prefetch::PrefetcherState;
-use ipex::PolicyState;
+use ehs_prefetch::AnyPrefetcher;
+use ipex::AnyPolicy;
 use serde::{Deserialize, Serialize};
 
 use crate::canon;
@@ -47,7 +47,7 @@ use crate::SimConfig;
 /// History:
 /// * **1** — initial format.
 /// * **2** — throttling-policy API: `ithrottle`/`dthrottle` may carry
-///   any [`PolicyState`] kind (predictive, hysteresis, static-degree,
+///   any [`AnyPolicy`] kind (predictive, hysteresis, static-degree,
 ///   not just passthrough/IPEX) and `event_counts` gained
 ///   `policy_adapt`. v1 files are no longer read; every corpus
 ///   snapshot is v2.
@@ -55,6 +55,8 @@ use crate::SimConfig;
 ///   `PolicyConfig::Ipex`. A file whose `cfg` still has the old
 ///   `{"Ipex": …}` mode fails [`Snapshot::from_json`]; the sweep's
 ///   checkpoint loader discards it and reruns the point.
+/// * **2, no bump** — the state types are the components; the wire
+///   format is unchanged.
 ///
 /// [`Machine::resume`]: crate::Machine::resume
 pub const SNAPSHOT_VERSION: u32 = 2;
@@ -136,13 +138,13 @@ pub struct Snapshot {
     /// DCache-side prefetch buffer entries.
     pub dbuf: BufferState,
     /// Instruction prefetcher kind and tables.
-    pub ipf: PrefetcherState,
+    pub ipf: AnyPrefetcher,
     /// Data prefetcher kind and tables.
-    pub dpf: PrefetcherState,
+    pub dpf: AnyPrefetcher,
     /// ICache throttling-policy state (or passthrough).
-    pub ithrottle: PolicyState,
+    pub ithrottle: AnyPolicy,
     /// DCache throttling-policy state (or passthrough).
-    pub dthrottle: PolicyState,
+    pub dthrottle: AnyPolicy,
     /// NVM port scheduling and access counters.
     pub nvm: NvmState,
     /// Capacitor charge, nanojoules (exact).

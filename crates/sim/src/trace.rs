@@ -22,7 +22,6 @@
 //!
 //! Where events go is pluggable via [`TraceSink`]:
 //!
-//! * [`NullSink`] — discard (the tracer still counts events),
 //! * [`CountingSink`] — shared per-kind counters, for tests,
 //! * [`JsonlSink`] — one JSON object per line, for offline analysis
 //!   (`diag --trace` writes one and prints the per-power-cycle table).
@@ -372,14 +371,6 @@ pub trait TraceSink {
 
     /// Flushes any buffered output; called when the run ends.
     fn flush(&mut self) {}
-}
-
-/// Discards every event (the tracer still keeps [`EventCounts`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _ev: &SimEvent) {}
 }
 
 /// Tallies events into shared [`EventCounts`]. Clone the sink before

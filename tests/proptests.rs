@@ -359,7 +359,7 @@ proptest! {
     /// never yields a higher prefetch degree.
     #[test]
     fn ipex_degree_monotone_in_voltage(mut voltages in proptest::collection::vec(3.0f64..3.6, 2..50)) {
-        use ehs_repro::ipex::{IpexConfig, IpexController};
+        use ehs_repro::ipex::{IpexConfig, IpexController, ThrottlePolicy};
         // Feed a descending voltage ramp: degree must never increase.
         voltages.sort_by(|a, b| b.partial_cmp(a).unwrap());
         let mut ctl = IpexController::new(IpexConfig::paper_default());
@@ -411,27 +411,40 @@ proptest! {
         voltages in proptest::collection::vec(2.5f64..3.6, 129..600),
     ) {
         use ehs_repro::ipex::{PredictiveConfig, PredictiveController, ThrottlePolicy};
-        use ehs_repro::mem::Persist;
+        use serde::Content;
+        // The volatile fields are private to the controller's crate:
+        // read them through its serialized form.
+        let field = |ctl: &PredictiveController, name: &str| -> Content {
+            let json = serde_json::to_string(ctl).unwrap();
+            let fields: Content = serde_json::from_str(&json).unwrap();
+            let (_, value) = fields
+                .as_map()
+                .and_then(|m| m.iter().find(|(k, _)| k == name))
+                .unwrap_or_else(|| panic!("no {name} in {json}"));
+            value.clone()
+        };
         let mut ctl = PredictiveController::new(PredictiveConfig::paper_default());
         // >= 2 full sample periods of observations, so a context forms.
         for &v in &voltages {
             ctl.observe_voltage(v);
         }
-        let before = Persist::export_state(&ctl);
-        prop_assert!(before.context.is_some(), "warmup must establish a context");
-        let table_before: u32 = before.table.iter().sum();
+        prop_assert!(
+            field(&ctl, "context") != Content::Null,
+            "warmup must establish a context"
+        );
+        let table_before: u32 = ctl.table().iter().sum();
+        let adaptations_before = ctl.adaptations();
         ctl.on_power_failure();
-        let after = Persist::export_state(&ctl);
-        prop_assert_eq!(after.prev_level, None);
-        prop_assert_eq!(after.context, None);
-        prop_assert_eq!(after.obs_count, 0);
-        let table_after: u32 = after.table.iter().sum();
+        prop_assert_eq!(field(&ctl, "prev_level"), Content::Null);
+        prop_assert_eq!(field(&ctl, "context"), Content::Null);
+        prop_assert_eq!(field(&ctl, "obs_count"), Content::U64(0));
+        let table_after: u32 = ctl.table().iter().sum();
         prop_assert!(
             table_after > 0 && table_after >= table_before,
             "the outage must be recorded in the surviving table \
              ({table_before} -> {table_after})"
         );
-        prop_assert_eq!(after.adaptations, before.adaptations + 1);
+        prop_assert_eq!(ctl.adaptations(), adaptations_before + 1);
     }
 
     /// The paged memory holds the bytes of a dense shadow image, and its

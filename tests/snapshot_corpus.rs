@@ -18,8 +18,6 @@
 //! configuration must be rejected by `Machine::resume`.
 
 use ehs_repro::energy::PowerTrace;
-use ehs_repro::ipex::PolicyState;
-use ehs_repro::prefetch::PrefetcherState;
 use ehs_repro::sim::canon::content_diff;
 use ehs_repro::sim::{Machine, Snapshot};
 use ehs_repro::verify::{run_parallel, snapcorpus};
@@ -111,11 +109,12 @@ fn resume_edited(
 }
 
 /// Rewrites one `"field":value` pair in the compact JSON of a
-/// prefetcher state (whose fields are private to its crate).
-fn edit_prefetcher(state: &mut PrefetcherState, from: &str, to: &str) {
-    let json = serde_json::to_string(&*state).unwrap();
+/// serializable value — a prefetcher or throttling policy, whose fields
+/// are private to its crate.
+fn edit_json<T: serde::Serialize + serde::Deserialize>(value: &mut T, from: &str, to: &str) {
+    let json = serde_json::to_string(&*value).unwrap();
     assert_eq!(json.matches(from).count(), 1, "{from} in {json}");
-    *state = serde_json::from_str(&json.replace(from, to)).unwrap();
+    *value = serde_json::from_str(&json.replace(from, to)).unwrap();
 }
 
 /// A stride table mask wider than its 16-entry table used to resume and
@@ -123,7 +122,7 @@ fn edit_prefetcher(state: &mut PrefetcherState, from: &str, to: &str) {
 #[test]
 fn stride_index_mask_beyond_the_table_is_rejected_at_resume() {
     let err = resume_edited("qsort-baseline.json", |snap| {
-        edit_prefetcher(&mut snap.dpf, "\"index_mask\":15", "\"index_mask\":31")
+        edit_json(&mut snap.dpf, "\"index_mask\":15", "\"index_mask\":31")
     })
     .err()
     .expect("index_mask 31 over a 16-entry table must be rejected");
@@ -136,7 +135,7 @@ fn stride_index_mask_beyond_the_table_is_rejected_at_resume() {
 fn stride_degree_differing_from_the_config_is_rejected_at_resume() {
     let err = resume_edited("qsort-baseline.json", |snap| {
         assert_eq!(snap.cfg.prefetch_degree, 2);
-        edit_prefetcher(&mut snap.dpf, "\"degree\":2", "\"degree\":1")
+        edit_json(&mut snap.dpf, "\"degree\":2", "\"degree\":1")
     })
     .err()
     .expect("stride degree 1 under prefetch_degree 2 must be rejected");
@@ -148,11 +147,12 @@ fn stride_degree_differing_from_the_config_is_rejected_at_resume() {
 #[test]
 fn ipex_config_differing_from_the_config_is_rejected_at_resume() {
     let err = resume_edited("basicm-ipex_both.json", |snap| {
-        let PolicyState::Ipex(state) = &mut snap.ithrottle else {
-            panic!("IPEX entry holds a non-IPEX throttle state");
-        };
-        assert_eq!(state.cfg.max_top_threshold_v, 3.38);
-        state.cfg.max_top_threshold_v = 3.39;
+        assert_eq!(snap.ithrottle.kind_name(), "ipex");
+        edit_json(
+            &mut snap.ithrottle,
+            "\"max_top_threshold_v\":3.38",
+            "\"max_top_threshold_v\":3.39",
+        )
     })
     .err()
     .expect("an IPEX state config differing from cfg must be rejected");
@@ -198,4 +198,93 @@ fn unknown_data_prefetcher_kind_is_rejected_at_parse() {
     assert_eq!(text.matches(field).count(), 1, "{}", path.display());
     let edited = text.replace(field, "\"data_prefetcher\": \"ampm\"");
     assert!(Snapshot::from_json(&edited).is_err());
+}
+
+/// No golden file holds a hysteresis or static-degree policy, or a
+/// Markov, TIFS, GHB or best-offset prefetcher, so their wire forms are
+/// pinned here: the FNV-1a digest of each one's serialized state after a
+/// fixed input stream.
+#[test]
+fn kinds_no_golden_file_holds_keep_their_wire_form() {
+    use ehs_repro::ipex::{HysteresisConfig, PolicyConfig, StaticDegreeConfig};
+    use ehs_repro::mem::Persist;
+    use ehs_repro::prefetch::{
+        AccessEvent, AccessOutcome, DataPrefetcherKind, InstPrefetcherKind, Prefetcher,
+    };
+    use ehs_repro::sim::canon::fnv1a_64;
+
+    let lcg = |x: &mut u32| {
+        *x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        *x
+    };
+    let policies = [
+        (
+            PolicyConfig::Hysteresis(HysteresisConfig::paper_default()),
+            0xcc3a_5108_3d44_6086,
+        ),
+        (
+            PolicyConfig::StaticDegree(StaticDegreeConfig::conservative()),
+            0xeaeb_f0e1_2e61_f3b6,
+        ),
+    ];
+    for (pc, want) in policies {
+        let mut p = pc.build();
+        let mut x = 0x9e37_79b9;
+        for i in 0..400u32 {
+            // Voltages in 3.0-3.5 V, across the hysteresis band.
+            p.observe_voltage(3.0 + f64::from(lcg(&mut x) >> 24) / 512.0);
+            p.filter(&mut vec![i * 16, i * 16 + 16, i * 16 + 32]);
+            if i % 97 == 96 {
+                p.on_power_failure();
+                p.on_reboot();
+            }
+        }
+        let json = serde_json::to_string(&p.export_state()).unwrap();
+        assert_eq!(
+            fnv1a_64(json.as_bytes()),
+            want,
+            "{}: {json}",
+            pc.kind_name()
+        );
+    }
+
+    let prefetchers = [
+        (
+            InstPrefetcherKind::Markov.build_any(2),
+            0x0419_bee1_dc4b_209d,
+        ),
+        (InstPrefetcherKind::Tifs.build_any(2), 0x1e42_dd85_2962_6aa0),
+        (DataPrefetcherKind::Ghb.build_any(2), 0xa067_c5a8_9985_3481),
+        (
+            DataPrefetcherKind::BestOffset.build_any(2),
+            0x4174_8479_32bd_1433,
+        ),
+    ];
+    for (mut p, want) in prefetchers {
+        let mut x = 0x1234_5678;
+        let mut out = Vec::new();
+        for i in 0..2000u32 {
+            let r = lcg(&mut x);
+            // A strided walk with random jumps, mostly misses.
+            let addr = if r % 8 == 0 {
+                (r >> 8) & 0xfff0
+            } else {
+                (i * 48) & 0xffff
+            };
+            let outcome = if r & 0x30 == 0 {
+                AccessOutcome::CacheHit
+            } else {
+                AccessOutcome::Miss
+            };
+            let ev = if p.name() == "markov" || p.name() == "tifs" {
+                AccessEvent::fetch(addr, outcome)
+            } else {
+                AccessEvent::data(0x40 + (r >> 28) * 4, addr, outcome, r & 1 == 0)
+            };
+            out.clear();
+            p.observe(&ev, &mut out);
+        }
+        let json = serde_json::to_string(&p.export_state()).unwrap();
+        assert_eq!(fnv1a_64(json.as_bytes()), want, "{}: {json}", p.name());
+    }
 }
