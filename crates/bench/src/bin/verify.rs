@@ -17,10 +17,13 @@
 //! reproducers for any divergence; `shrink` minimizes a committed corpus
 //! case, re-running every candidate from cycle 0 with invariant checking
 //! on. Seeds may be decimal, hex, or arbitrary tags (`--seed 0xEHS`
-//! works). Exit status is 0 when everything matched, 1 on any
+//! works); `--samples N` and `--slices K` need N, K ≥ 1. Exit status is 0 when everything matched, 1 on any
 //! divergence, 2 on a usage error.
 
+use std::fmt::Display;
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use ehs_sim::FaultPlan;
 use ehs_verify::{
@@ -33,7 +36,11 @@ const USAGE: &str = "usage: verify <matrix|fuzz|shrink|slices> [options]
   matrix [--seed SEED] [--samples N] [--no-invariants]
   slices [--seed SEED] [--samples N] [--slices K] [--workloads a,b,...]
   fuzz   --seed SEED --iters N [--fault REG] [--max-cycles N]
-  shrink --input CASE.json [--output FILE] [--fault REG] [--budget N]";
+  shrink --input CASE.json [--output FILE] [--fault REG] [--budget N]
+  --samples N and --slices K need N, K >= 1";
+
+const DEFAULT_SEED: &str = "0xEHS";
+const DEFAULT_SAMPLES: usize = 50_000;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,76 +49,109 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let rest = &args[1..];
-    match cmd.as_str() {
-        "matrix" => cmd_matrix(rest),
-        "slices" => cmd_slices(rest),
-        "fuzz" => cmd_fuzz(rest),
-        "shrink" => cmd_shrink(rest),
-        _ => {
-            eprintln!("verify: unknown subcommand `{cmd}`\n{USAGE}");
-            ExitCode::from(2)
+    let run = match cmd.as_str() {
+        "matrix" => parse_matrix(rest).map(cmd_matrix),
+        "slices" => parse_slices(rest).map(cmd_slices),
+        "fuzz" => parse_fuzz(rest).map(cmd_fuzz),
+        "shrink" => parse_shrink(rest).map(cmd_shrink),
+        _ => Err(Usage(format!("unknown subcommand `{cmd}`"))),
+    };
+    run.unwrap_or_else(|Usage(msg)| {
+        eprintln!("verify: {msg}\n{USAGE}");
+        ExitCode::from(2)
+    })
+}
+
+/// A usage error's message; `main` prints it with [`USAGE`] and exits
+/// with status 2.
+#[derive(Debug)]
+struct Usage(String);
+
+/// Reads one subcommand's options in order.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags(args.iter())
+    }
+
+    /// The next option, or `None` after the last.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, Usage> {
+        self.next_flag()
+            .ok_or_else(|| Usage(format!("{flag} needs a value")))
+    }
+
+    /// The value after `flag`, parsed.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, Usage>
+    where
+        T::Err: Display,
+    {
+        let v = self.value(flag)?;
+        v.parse().map_err(|e| Usage(format!("{flag}: {e}")))
+    }
+
+    /// The value after `flag` as a count of at least one.
+    fn count(&mut self, flag: &str) -> Result<usize, Usage> {
+        match self.parse(flag)? {
+            0 => Err(Usage(format!("{flag} needs a count of at least 1"))),
+            n => Ok(n),
+        }
+    }
+
+    /// The register named after `flag`, as the fault that skips its
+    /// restore.
+    fn fault(&mut self, flag: &str) -> Result<FaultPlan, Usage> {
+        match self.parse::<ehs_isa::Reg>(flag)? {
+            ehs_isa::Reg::Zero => Err(Usage(format!(
+                "{flag} zero is a no-op (writes to r0 are discarded)"
+            ))),
+            r => Ok(FaultPlan {
+                skip_restore_reg: Some(r),
+            }),
         }
     }
 }
 
-/// Pulls the value following a `--flag`, or exits with a usage error.
-fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, ExitCode> {
-    *i += 1;
-    match args.get(*i) {
-        Some(v) => Ok(v.as_str()),
-        None => {
-            eprintln!("verify: {flag} needs a value\n{USAGE}");
-            Err(ExitCode::from(2))
-        }
-    }
+fn unknown(option: &str) -> Usage {
+    Usage(format!("unknown option `{option}`"))
 }
 
-fn parse_fault(reg: &str) -> Result<FaultPlan, ExitCode> {
-    match reg.parse::<ehs_isa::Reg>() {
-        Ok(ehs_isa::Reg::Zero) => {
-            eprintln!("verify: --fault zero is a no-op (writes to r0 are discarded)");
-            Err(ExitCode::from(2))
-        }
-        Ok(r) => Ok(FaultPlan {
-            skip_restore_reg: Some(r),
-        }),
-        Err(e) => {
-            eprintln!("verify: --fault: {e}");
-            Err(ExitCode::from(2))
-        }
-    }
+struct MatrixArgs {
+    seed: u64,
+    samples: usize,
+    invariants: bool,
 }
 
-fn cmd_matrix(args: &[String]) -> ExitCode {
-    let mut seed = parse_seed("0xEHS");
-    let mut samples = 50_000usize;
-    let mut invariants = true;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => match flag_value(args, &mut i, "--seed") {
-                Ok(v) => seed = parse_seed(v),
-                Err(c) => return c,
-            },
-            "--samples" => match flag_value(args, &mut i, "--samples") {
-                Ok(v) => match v.parse() {
-                    Ok(n) => samples = n,
-                    Err(e) => {
-                        eprintln!("verify: --samples: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
-            "--no-invariants" => invariants = false,
-            other => {
-                eprintln!("verify: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
+fn parse_matrix(args: &[String]) -> Result<MatrixArgs, Usage> {
+    let mut o = MatrixArgs {
+        seed: parse_seed(DEFAULT_SEED),
+        samples: DEFAULT_SAMPLES,
+        invariants: true,
+    };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seed" => o.seed = parse_seed(flags.value(flag)?),
+            "--samples" => o.samples = flags.count(flag)?,
+            "--no-invariants" => o.invariants = false,
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
+    Ok(o)
+}
 
+fn cmd_matrix(
+    MatrixArgs {
+        seed,
+        samples,
+        invariants,
+    }: MatrixArgs,
+) -> ExitCode {
     println!(
         "differential matrix: 20 workloads x 7 configs x 4 trace kinds \
          (seed {seed:#x}, {samples} samples, invariants {})",
@@ -144,67 +184,54 @@ fn cmd_matrix(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_slices(args: &[String]) -> ExitCode {
-    let mut seed = parse_seed("0xEHS");
-    let mut samples = 50_000usize;
-    let mut slices = 4usize;
-    let mut workloads: Vec<&'static ehs_workloads::Workload> =
-        ehs_workloads::SUITE.iter().collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => match flag_value(args, &mut i, "--seed") {
-                Ok(v) => seed = parse_seed(v),
-                Err(c) => return c,
-            },
-            "--samples" => match flag_value(args, &mut i, "--samples") {
-                Ok(v) => match v.parse() {
-                    Ok(n) => samples = n,
-                    Err(e) => {
-                        eprintln!("verify: --samples: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
-            "--slices" => match flag_value(args, &mut i, "--slices") {
-                Ok(v) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => slices = n,
-                    Ok(_) | Err(_) => {
-                        eprintln!("verify: --slices needs a positive slice count");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
-            "--workloads" => match flag_value(args, &mut i, "--workloads") {
-                Ok(v) => {
-                    let mut picked = Vec::new();
-                    for name in v.split(',').filter(|n| !n.is_empty()) {
-                        match ehs_workloads::by_name(name) {
-                            Some(w) => picked.push(w),
-                            None => {
-                                eprintln!("verify: unknown workload `{name}`");
-                                return ExitCode::from(2);
-                            }
-                        }
-                    }
-                    if picked.is_empty() {
-                        eprintln!("verify: --workloads selected nothing");
-                        return ExitCode::from(2);
-                    }
-                    workloads = picked;
-                }
-                Err(c) => return c,
-            },
-            other => {
-                eprintln!("verify: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
+struct SlicesArgs {
+    seed: u64,
+    samples: usize,
+    slices: usize,
+    workloads: Vec<&'static ehs_workloads::Workload>,
+}
 
+fn parse_slices(args: &[String]) -> Result<SlicesArgs, Usage> {
+    let mut o = SlicesArgs {
+        seed: parse_seed(DEFAULT_SEED),
+        samples: DEFAULT_SAMPLES,
+        slices: 4,
+        workloads: ehs_workloads::SUITE.iter().collect(),
+    };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seed" => o.seed = parse_seed(flags.value(flag)?),
+            "--samples" => o.samples = flags.count(flag)?,
+            "--slices" => o.slices = flags.count(flag)?,
+            "--workloads" => {
+                o.workloads = flags
+                    .value(flag)?
+                    .split(',')
+                    .filter(|n| !n.is_empty())
+                    .map(|name| {
+                        ehs_workloads::by_name(name)
+                            .ok_or_else(|| Usage(format!("unknown workload `{name}`")))
+                    })
+                    .collect::<Result<_, _>>()?;
+                if o.workloads.is_empty() {
+                    return Err(Usage("--workloads selected nothing".into()));
+                }
+            }
+            other => return Err(unknown(other)),
+        }
+    }
+    Ok(o)
+}
+
+fn cmd_slices(
+    SlicesArgs {
+        seed,
+        samples,
+        slices,
+        workloads,
+    }: SlicesArgs,
+) -> ExitCode {
     println!(
         "pause/resume matrix: {} workloads x 7 configs, {slices} slices chained \
          through JSON snapshots (seed {seed:#x}, {samples} samples)",
@@ -232,58 +259,25 @@ fn cmd_slices(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_fuzz(args: &[String]) -> ExitCode {
-    let mut seed = parse_seed("0xEHS");
-    let mut iters = 200u64;
-    let mut fault = None;
-    let mut max_cycles = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => match flag_value(args, &mut i, "--seed") {
-                Ok(v) => seed = parse_seed(v),
-                Err(c) => return c,
-            },
-            "--iters" => match flag_value(args, &mut i, "--iters") {
-                Ok(v) => match v.parse() {
-                    Ok(n) => iters = n,
-                    Err(e) => {
-                        eprintln!("verify: --iters: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
-            "--fault" => match flag_value(args, &mut i, "--fault") {
-                Ok(v) => match parse_fault(v) {
-                    Ok(f) => fault = Some(f),
-                    Err(c) => return c,
-                },
-                Err(c) => return c,
-            },
-            "--max-cycles" => match flag_value(args, &mut i, "--max-cycles") {
-                Ok(v) => match v.parse() {
-                    Ok(n) => max_cycles = Some(n),
-                    Err(e) => {
-                        eprintln!("verify: --max-cycles: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
-            other => {
-                eprintln!("verify: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
+fn parse_fuzz(args: &[String]) -> Result<FuzzOptions, Usage> {
+    let mut opts = FuzzOptions::new(parse_seed(DEFAULT_SEED), 200);
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seed" => opts.seed = parse_seed(flags.value(flag)?),
+            "--iters" => opts.iters = flags.parse(flag)?,
+            "--fault" => opts.fault = Some(flags.fault(flag)?),
+            "--max-cycles" => opts.max_cycles = flags.parse(flag)?,
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
+    Ok(opts)
+}
 
-    let mut opts = FuzzOptions::new(seed, iters);
-    opts.fault = fault;
-    if let Some(mc) = max_cycles {
-        opts.max_cycles = mc;
-    }
+fn cmd_fuzz(opts: FuzzOptions) -> ExitCode {
+    let FuzzOptions {
+        seed, iters, fault, ..
+    } = opts;
     println!(
         "adversarial fuzz: {iters} iterations, seed {seed:#x}{}",
         match fault {
@@ -350,52 +344,43 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_shrink(args: &[String]) -> ExitCode {
-    let mut input: Option<String> = None;
-    let mut output: Option<String> = None;
-    let mut fault = None;
-    let mut budget = 256usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--input" => match flag_value(args, &mut i, "--input") {
-                Ok(v) => input = Some(v.to_string()),
-                Err(c) => return c,
-            },
-            "--output" => match flag_value(args, &mut i, "--output") {
-                Ok(v) => output = Some(v.to_string()),
-                Err(c) => return c,
-            },
-            "--fault" => match flag_value(args, &mut i, "--fault") {
-                Ok(v) => match parse_fault(v) {
-                    Ok(f) => fault = Some(f),
-                    Err(c) => return c,
-                },
-                Err(c) => return c,
-            },
-            "--budget" => match flag_value(args, &mut i, "--budget") {
-                Ok(v) => match v.parse() {
-                    Ok(n) => budget = n,
-                    Err(e) => {
-                        eprintln!("verify: --budget: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
-            other => {
-                eprintln!("verify: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(input) = input else {
-        eprintln!("verify: shrink needs --input CASE.json\n{USAGE}");
-        return ExitCode::from(2);
-    };
+struct ShrinkArgs {
+    input: String,
+    output: Option<String>,
+    fault: Option<FaultPlan>,
+    budget: usize,
+}
 
-    let case = match CorpusCase::load(std::path::Path::new(&input)) {
+fn parse_shrink(args: &[String]) -> Result<ShrinkArgs, Usage> {
+    let (mut input, mut output, mut fault, mut budget) = (None, None, None, 256);
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--input" => input = Some(flags.value(flag)?.to_owned()),
+            "--output" => output = Some(flags.value(flag)?.to_owned()),
+            "--fault" => fault = Some(flags.fault(flag)?),
+            "--budget" => budget = flags.parse(flag)?,
+            other => return Err(unknown(other)),
+        }
+    }
+    let input = input.ok_or_else(|| Usage("shrink needs --input CASE.json".into()))?;
+    Ok(ShrinkArgs {
+        input,
+        output,
+        fault,
+        budget,
+    })
+}
+
+fn cmd_shrink(
+    ShrinkArgs {
+        input,
+        output,
+        fault,
+        budget,
+    }: ShrinkArgs,
+) -> ExitCode {
+    let case = match CorpusCase::load(Path::new(&input)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("verify: {e}");
@@ -443,7 +428,7 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
     println!("shrunk to {} samples", out_case.samples_mw.len());
     match output {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, out_case.to_json() + "\n") {
+            if let Err(e) = ehs_bench::write_atomic(Path::new(&path), out_case.to_json() + "\n") {
                 eprintln!("verify: {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -452,4 +437,59 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
         None => println!("{}", out_case.to_json()),
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    fn usage_error<T>(parsed: Result<T, Usage>) -> String {
+        match parsed {
+            Ok(_) => panic!("accepted a usage error"),
+            Err(Usage(msg)) => msg,
+        }
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        let msg = usage_error(parse_matrix(&args("--samples 0")));
+        assert!(
+            msg.contains("--samples needs a count of at least 1"),
+            "{msg}"
+        );
+        let msg = usage_error(parse_slices(&args("--samples 0")));
+        assert!(
+            msg.contains("--samples needs a count of at least 1"),
+            "{msg}"
+        );
+        let msg = usage_error(parse_slices(&args("--slices 0")));
+        assert!(
+            msg.contains("--slices needs a count of at least 1"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn an_option_missing_its_value_is_a_usage_error() {
+        let msg = usage_error(parse_fuzz(&args("--seed 7 --iters")));
+        assert!(msg.starts_with("--iters needs a value"), "{msg}");
+    }
+
+    #[test]
+    fn an_unknown_option_is_a_usage_error() {
+        let msg = usage_error(parse_shrink(&args("--input case.json --frobnicate")));
+        assert!(msg.starts_with("unknown option `--frobnicate`"), "{msg}");
+    }
+
+    #[test]
+    fn valid_counts_are_accepted() {
+        let o = parse_slices(&args("--samples 7 --slices 3 --workloads qsort,fft")).unwrap();
+        assert_eq!((o.samples, o.slices, o.workloads.len()), (7, 3, 2));
+        let o = parse_matrix(&args("--samples 1 --no-invariants")).unwrap();
+        assert_eq!((o.samples, o.invariants), (1, false));
+    }
 }

@@ -61,7 +61,12 @@ impl TraceKind {
     /// intervals from `seed`. Identical `(kind, seed, samples)` inputs
     /// yield identical traces, which is what makes cross-configuration
     /// comparisons fair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is zero: a trace needs at least one sample.
     pub fn synthesize(self, seed: u64, samples: usize) -> PowerTrace {
+        assert!(samples > 0, "trace must contain at least one sample");
         // Distinct kinds must not share RNG streams even with equal seeds.
         let salt = match self {
             TraceKind::RfHome => 0x52_46_48,
@@ -457,6 +462,12 @@ mod tests {
         assert_eq!(a, b);
         let c = TraceKind::RfHome.synthesize(8, 5000);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace must contain at least one sample")]
+    fn synthesis_of_zero_samples_is_rejected() {
+        TraceKind::Solar.synthesize(7, 0);
     }
 
     /// The kind-salting contract of [`TraceKind::synthesize`], pinned:

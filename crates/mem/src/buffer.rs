@@ -77,13 +77,8 @@ pub struct BufferLookup {
     pub ready_at: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    block: u32,
-    ready_at: u64,
-}
-
-/// Serializable image of one buffered prefetch (see [`BufferState`]).
+/// One buffered prefetch: how the buffer holds it and how a
+/// [`BufferState`] carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BufferEntryState {
     /// Block base address.
@@ -108,7 +103,7 @@ pub struct BufferState {
 #[derive(Debug, Clone)]
 pub struct PrefetchBuffer {
     capacity: usize,
-    entries: VecDeque<Entry>,
+    entries: VecDeque<BufferEntryState>,
     stats: PrefetchBufferStats,
 }
 
@@ -171,7 +166,7 @@ impl PrefetchBuffer {
             self.stats.evicted_unused += 1;
             outcome = InsertOutcome::InsertedEvicting(victim.block);
         }
-        self.entries.push_back(Entry { block, ready_at });
+        self.entries.push_back(BufferEntryState { block, ready_at });
         self.stats.inserted += 1;
         outcome
     }
@@ -211,14 +206,7 @@ impl Persist for PrefetchBuffer {
     /// serializable value, for snapshot/resume.
     fn export_state(&self) -> BufferState {
         BufferState {
-            entries: self
-                .entries
-                .iter()
-                .map(|e| BufferEntryState {
-                    block: e.block,
-                    ready_at: e.ready_at,
-                })
-                .collect(),
+            entries: self.entries.iter().copied().collect(),
             stats: self.stats,
         }
     }
@@ -234,10 +222,7 @@ impl Persist for PrefetchBuffer {
             ));
         }
         self.entries.clear();
-        self.entries.extend(state.entries.iter().map(|e| Entry {
-            block: e.block,
-            ready_at: e.ready_at,
-        }));
+        self.entries.extend(&state.entries);
         self.stats = state.stats;
         Ok(())
     }

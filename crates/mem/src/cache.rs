@@ -83,16 +83,9 @@ pub struct Writeback {
     pub block: u32,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u32,
-    last_use: u64,
-}
-
-/// Serializable image of one cache line (see [`CacheState`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One cache line: how the tag store holds it and how a
+/// [`CacheState`] carries it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LineState {
     /// Line holds a block.
     pub valid: bool,
@@ -126,7 +119,7 @@ pub struct CacheState {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Line>,
+    sets: Vec<LineState>,
     set_shift: u32,
     set_mask: u32,
     tick: u64,
@@ -146,7 +139,7 @@ impl Cache {
         let num_sets = cfg.num_sets();
         Cache {
             cfg,
-            sets: vec![Line::default(); (num_sets * cfg.assoc) as usize],
+            sets: vec![LineState::default(); (num_sets * cfg.assoc) as usize],
             set_shift: BLOCK_SIZE.trailing_zeros(),
             set_mask: num_sets - 1,
             tick: 0,
@@ -174,7 +167,7 @@ impl Cache {
         block >> self.set_shift >> self.set_mask.count_ones()
     }
 
-    fn ways(&mut self, block: u32) -> &mut [Line] {
+    fn ways(&mut self, block: u32) -> &mut [LineState] {
         let start = self.set_of(block);
         let assoc = self.cfg.assoc as usize;
         &mut self.sets[start..start + assoc]
@@ -242,7 +235,7 @@ impl Cache {
         }
         // Prefer an invalid way.
         if let Some(line) = self.ways(block).iter_mut().find(|l| !l.valid) {
-            *line = Line {
+            *line = LineState {
                 valid: true,
                 dirty: is_write,
                 tag,
@@ -258,7 +251,7 @@ impl Cache {
             .expect("assoc >= 1");
         let evicted_dirty = victim.dirty;
         let evicted_tag = victim.tag;
-        *victim = Line {
+        *victim = LineState {
             valid: true,
             dirty: is_write,
             tag,
@@ -305,7 +298,7 @@ impl Cache {
     /// checkpoint beforehand (call [`Cache::checkpoint_flush`] first).
     pub fn power_loss(&mut self) {
         for line in &mut self.sets {
-            *line = Line::default();
+            *line = LineState::default();
         }
     }
 }
@@ -317,16 +310,7 @@ impl Persist for Cache {
     /// serializable value, for snapshot/resume.
     fn export_state(&self) -> CacheState {
         CacheState {
-            lines: self
-                .sets
-                .iter()
-                .map(|l| LineState {
-                    valid: l.valid,
-                    dirty: l.dirty,
-                    tag: l.tag,
-                    last_use: l.last_use,
-                })
-                .collect(),
+            lines: self.sets.clone(),
             tick: self.tick,
             stats: self.stats,
         }
@@ -342,14 +326,7 @@ impl Persist for Cache {
                 self.sets.len()
             ));
         }
-        for (line, s) in self.sets.iter_mut().zip(&state.lines) {
-            *line = Line {
-                valid: s.valid,
-                dirty: s.dirty,
-                tag: s.tag,
-                last_use: s.last_use,
-            };
-        }
+        self.sets.copy_from_slice(&state.lines);
         self.tick = state.tick;
         self.stats = state.stats;
         Ok(())

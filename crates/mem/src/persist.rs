@@ -24,6 +24,10 @@
 /// component itself serializes, it is its own state (`State = Self`,
 /// as for the prefetcher and throttling-policy enums): export is a
 /// copy, and import checks the copy's shape before taking it over.
+/// Otherwise the component stores the wire types of its parts (a
+/// cache's [`LineState`](crate::LineState)s, a buffer's
+/// [`BufferEntryState`](crate::BufferEntryState)s), so its state is
+/// those parts copied as stored.
 pub trait Persist {
     /// The serializable wire form of the component's state.
     type State;

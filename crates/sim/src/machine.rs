@@ -69,8 +69,66 @@ pub struct FaultPlan {
     pub skip_restore_reg: Option<ehs_isa::Reg>,
 }
 
+/// What both memory paths share: the one NVM port, and the energy,
+/// statistics and event trace every access charges. A path's
+/// operations borrow it from the machine for one call.
+struct Bus {
+    nvm: Nvm,
+    energy: EnergyBreakdown,
+    stats: SimStats,
+    /// Dynamic energy charged since the last `advance_on`.
+    pending_draw_nj: f64,
+    /// Event tracing front end ([`TraceMode::Off`](crate::TraceMode) by
+    /// default: a single disabled branch per emission site).
+    tracer: Tracer,
+    /// Scratch buffer for prefetch candidates.
+    cand: Vec<u32>,
+    /// Energy of one cache probe or fill, nJ.
+    cache_access_nj: f64,
+    /// Energy of one NVM block read (demand or prefetch), nJ: the
+    /// dynamic transfer plus the gated array's active-window leakage
+    /// for the transfer's duration.
+    read_nj: f64,
+    /// Energy of one dirty write-back to NVM, nJ, likewise.
+    writeback_nj: f64,
+}
+
+impl Bus {
+    fn new(cfg: &SimConfig, tracer: Tracer) -> Bus {
+        let nvm = cfg.nvm;
+        Bus {
+            nvm: Nvm::new(nvm),
+            energy: EnergyBreakdown::new(),
+            stats: SimStats::default(),
+            pending_draw_nj: 0.0,
+            tracer,
+            cand: Vec::with_capacity(8),
+            cache_access_nj: cfg.energy.cache_access_nj,
+            read_nj: nvm.block_read_nj()
+                + mw_to_nj_per_cycle(nvm.active_leak_mw()) * nvm.read_cycles as f64,
+            writeback_nj: nvm.block_write_nj()
+                + mw_to_nj_per_cycle(nvm.active_leak_mw()) * nvm.write_cycles as f64,
+        }
+    }
+
+    /// Charges one cache probe or fill.
+    #[inline]
+    fn charge_cache(&mut self) {
+        self.energy.cache_nj += self.cache_access_nj;
+        self.pending_draw_nj += self.cache_access_nj;
+    }
+
+    /// Charges one NVM block transfer of `nj`.
+    #[inline]
+    fn charge_memory(&mut self, nj: f64) {
+        self.energy.memory_nj += nj;
+        self.pending_draw_nj += nj;
+    }
+}
+
 /// One side (instruction or data) of the memory hierarchy.
 struct MemPath {
+    id: PathId,
     cache: Cache,
     buf: PrefetchBuffer,
     /// Enum-dispatched so the per-access `observe` call in the hot loop
@@ -81,15 +139,215 @@ struct MemPath {
 }
 
 impl MemPath {
-    /// Wipes all volatile state; returns how many unused prefetch-buffer
-    /// entries were lost.
-    fn power_loss(&mut self) -> u64 {
+    /// Wipes all volatile state, tracing the unused prefetch-buffer
+    /// entries lost with it.
+    fn power_loss(&mut self, bus: &mut Bus, now: u64) {
         self.cache.checkpoint_flush(); // ICache is never dirty; DCache flush counted by caller
         self.cache.power_loss();
         let lost = self.buf.power_loss() as u64;
         self.pf.power_loss();
         self.throttle.on_power_failure();
-        lost
+        if lost > 0 {
+            bus.tracer.emit_with(|| SimEvent::LostUnused {
+                cycle: now,
+                path: self.id,
+                count: lost,
+            });
+        }
+    }
+
+    /// A fetch from the block fetched just before, with no power loss
+    /// in between: the block is resident (the previous fetch hit,
+    /// promoted or filled it, and only a fetch or a power loss changes
+    /// the ICache), and every instruction prefetcher ignores a hit on
+    /// the block it last saw (sequential dedupes on its last trigger
+    /// block; Markov and TIFS train on misses only), so the prefetcher
+    /// probe, throttle filter and issue loop of [`MemPath::mem_access`]
+    /// would all be no-ops. What remains is the cache probe itself, with
+    /// the same energy adds in the same order.
+    #[inline]
+    fn fetch_resident(&mut self, bus: &mut Bus, pc: u32) -> u64 {
+        bus.charge_cache();
+        let hit = self.cache.access(pc, false);
+        debug_assert!(hit, "same-block fetch of {pc:#x} missed the ICache");
+        1
+    }
+
+    /// Feeds the capacitor voltage to this path's throttling policy,
+    /// tracing threshold crossings and reissuing throttled prefetches
+    /// (§5.1 extension).
+    fn observe_voltage(&mut self, bus: &mut Bus, now: u64, v: f64) {
+        // Querying the degree costs a couple of loads; only pay for it
+        // while tracing.
+        let old_degree = if bus.tracer.is_enabled() {
+            self.throttle.current_degree()
+        } else {
+            None
+        };
+        let reissue = self.throttle.observe_voltage(v);
+        // The controller only returns a list when the §5.1 reissue
+        // extension drains its queue, so degree changes are detected by
+        // comparing Rcpd around the update rather than from the return
+        // value (otherwise crossings would go untraced under the default
+        // `reissue_throttled: false`).
+        if bus.tracer.is_enabled() {
+            let new_degree = self.throttle.current_degree();
+            if new_degree != old_degree {
+                bus.tracer.emit_with(|| SimEvent::ThresholdCross {
+                    cycle: now,
+                    path: self.id,
+                    voltage: v,
+                    old_degree: old_degree.unwrap_or(0),
+                    new_degree: new_degree.unwrap_or(0),
+                });
+            }
+        }
+        if let Some(reissue) = reissue {
+            for block in reissue {
+                bus.tracer.emit_with(|| SimEvent::PrefetchReissued {
+                    cycle: now,
+                    path: self.id,
+                    block,
+                });
+                self.issue_prefetch(bus, now, block);
+            }
+        }
+    }
+
+    /// One demand access through this path; returns its total cycles
+    /// (1-cycle hit plus any stall). Monomorphized per path (`INST` is a
+    /// const, `true` on the instruction path only) so the fetch fast
+    /// path specializes away the data-side branches.
+    fn mem_access<const INST: bool>(
+        &mut self,
+        bus: &mut Bus,
+        now: u64,
+        pc: u32,
+        addr: u32,
+        is_write: bool,
+    ) -> u64 {
+        // Cache probe.
+        bus.charge_cache();
+        let hit = self.cache.access(addr, is_write);
+
+        let mut latency = 1u64;
+        let outcome = if hit {
+            AccessOutcome::CacheHit
+        } else if let Some(found) = self.buf.lookup(addr, now) {
+            // Useful prefetch: promote into the cache; a late prefetch
+            // stalls until the NVM read completes (§5.1 duplicate
+            // suppression).
+            let late_by = found.ready_at.saturating_sub(now);
+            latency += late_by;
+            bus.tracer.emit_with(|| SimEvent::BufferHit {
+                cycle: now,
+                path: self.id,
+                block: block_of(addr),
+                late_by,
+            });
+            if late_by > 0 {
+                bus.tracer.emit_with(|| SimEvent::LatePrefetch {
+                    cycle: now,
+                    path: self.id,
+                    block: block_of(addr),
+                    stall_cycles: late_by,
+                });
+            }
+            self.fill_cache(bus, now, addr, is_write);
+            AccessOutcome::BufferHit
+        } else {
+            // Demand miss to NVM.
+            let done = bus.nvm.read(now, ReadReason::Demand);
+            if INST {
+                bus.stats.i_demand_reads += 1;
+            } else {
+                bus.stats.d_demand_reads += 1;
+            }
+            bus.charge_memory(bus.read_nj);
+            latency += done - now;
+            self.fill_cache(bus, now, addr, is_write);
+            AccessOutcome::Miss
+        };
+
+        // Prefetcher observation, throttle filtering, and issue in
+        // priority order.
+        let event = if INST {
+            AccessEvent::fetch(addr, outcome)
+        } else {
+            AccessEvent::data(pc, addr, outcome, is_write)
+        };
+        // Taken for the issue loop, which borrows the rest of the bus.
+        let mut cand = std::mem::take(&mut bus.cand);
+        cand.clear();
+        self.pf.observe(&event, &mut cand);
+        let proposed = cand.len();
+        let kept = self.throttle.filter(&mut cand);
+        let dropped = (proposed - kept) as u64;
+        if dropped > 0 {
+            bus.tracer.emit_with(|| SimEvent::PrefetchThrottled {
+                cycle: now,
+                path: self.id,
+                count: dropped,
+            });
+        }
+        for &block in &cand {
+            self.issue_prefetch(bus, now, block);
+        }
+        bus.cand = cand;
+
+        let stall = latency - 1;
+        if INST {
+            bus.stats.istall_cycles += stall;
+        } else {
+            bus.stats.dstall_cycles += stall;
+        }
+        latency
+    }
+
+    /// Installs a block in the cache, handling a dirty eviction
+    /// (write-back to NVM: port traffic + energy, no pipeline stall —
+    /// write-buffer semantics).
+    fn fill_cache(&mut self, bus: &mut Bus, now: u64, addr: u32, is_write: bool) {
+        bus.charge_cache();
+        bus.tracer.emit_with(|| SimEvent::CacheFill {
+            cycle: now,
+            path: self.id,
+            block: block_of(addr),
+        });
+        if let Some(wb) = self.cache.fill(addr, is_write) {
+            bus.nvm.write(now);
+            bus.charge_memory(bus.writeback_nj);
+            bus.tracer.emit_with(|| SimEvent::Writeback {
+                cycle: now,
+                path: self.id,
+                block: wb.block,
+            });
+        }
+    }
+
+    /// Issues one prefetch: skipped if the block is already cached or
+    /// in-flight, otherwise an NVM read is scheduled and the buffer
+    /// records the completion time.
+    fn issue_prefetch(&mut self, bus: &mut Bus, now: u64, block: u32) {
+        if self.cache.contains(block) || self.buf.contains(block) {
+            bus.stats.redundant_cache_skips += 1;
+            return;
+        }
+        let done = bus.nvm.read(now, ReadReason::Prefetch);
+        bus.charge_memory(bus.read_nj);
+        bus.tracer.emit_with(|| SimEvent::PrefetchIssued {
+            cycle: now,
+            path: self.id,
+            block,
+            done_at: done,
+        });
+        if let InsertOutcome::InsertedEvicting(victim) = self.buf.insert(block, done) {
+            bus.tracer.emit_with(|| SimEvent::EvictedUnused {
+                cycle: now,
+                path: self.id,
+                block: victim,
+            });
+        }
     }
 }
 
@@ -133,21 +391,12 @@ pub struct Machine {
     interp: Interpreter,
     ipath: MemPath,
     dpath: MemPath,
-    nvm: Nvm,
+    bus: Bus,
     cap: Capacitor,
     trace: PowerTrace,
     cycle: u64,
-    stats: SimStats,
-    energy: EnergyBreakdown,
-    /// Dynamic energy charged since the last `advance_on`.
-    pending_draw_nj: f64,
     /// Cached per-cycle leakage, nJ: (icache, dcache, core, nvm).
     leak_nj: (f64, f64, f64, f64),
-    /// Scratch buffer for prefetch candidates.
-    cand: Vec<u32>,
-    /// Event tracing front end ([`TraceMode::Off`](crate::TraceMode) by
-    /// default: a single disabled branch per emission site).
-    tracer: Tracer,
     /// Power-cycle statistics mark for summary events.
     mark: CycleMark,
     /// Injected consistency faults (verification only; default none).
@@ -237,34 +486,34 @@ impl Machine {
         }
         let tracer =
             Tracer::from_mode(&cfg.trace).map_err(|e| ConfigError(format!("trace: {e}")))?;
-        let build_path = |mode: &PrefetchMode, is_inst: bool| -> MemPath {
-            let pf = match mode {
-                PrefetchMode::Off => AnyPrefetcher::None,
-                _ => {
-                    if is_inst {
-                        cfg.inst_prefetcher.build_any(cfg.prefetch_degree)
-                    } else {
-                        cfg.data_prefetcher.build_any(cfg.prefetch_degree)
-                    }
-                }
+        let build_path = |id: PathId| -> MemPath {
+            let (mode, cache) = match id {
+                PathId::Inst => (&cfg.inst_mode, cfg.icache),
+                PathId::Data => (&cfg.data_mode, cfg.dcache),
+            };
+            let pf = match (mode, id) {
+                (PrefetchMode::Off, _) => AnyPrefetcher::None,
+                (_, PathId::Inst) => cfg.inst_prefetcher.build_any(cfg.prefetch_degree),
+                (_, PathId::Data) => cfg.data_prefetcher.build_any(cfg.prefetch_degree),
             };
             let throttle = match mode {
                 PrefetchMode::Policy(pc) => pc.build(),
                 _ => AnyPolicy::Passthrough,
             };
             MemPath {
-                cache: Cache::new(if is_inst { cfg.icache } else { cfg.dcache }),
+                id,
+                cache: Cache::new(cache),
                 buf: PrefetchBuffer::new(cfg.prefetch_buffer_entries),
                 pf,
                 throttle,
             }
         };
-        let ipath = build_path(&cfg.inst_mode, true);
-        let dpath = build_path(&cfg.data_mode, false);
+        let ipath = build_path(PathId::Inst);
+        let dpath = build_path(PathId::Data);
         let interp = Interpreter::with_mem_size(program, cfg.nvm.size_bytes as usize);
         // NVM standby power is gated: being nonvolatile, the array and
         // its periphery are powered only during transfers (charged per
-        // access below). Idle leakage is caches + core only.
+        // access by the bus). Idle leakage is caches + core only.
         let leak_nj = (
             cfg.energy.cache_leak_nj_per_cycle(cfg.icache.size_bytes),
             cfg.energy.cache_leak_nj_per_cycle(cfg.dcache.size_bytes),
@@ -289,16 +538,11 @@ impl Machine {
             interp,
             ipath,
             dpath,
-            nvm: Nvm::new(cfg.nvm),
+            bus: Bus::new(&cfg, tracer),
             cap: Capacitor::full(cfg.capacitor),
             trace,
             cycle: 0,
-            stats: SimStats::default(),
-            energy: EnergyBreakdown::new(),
-            pending_draw_nj: 0.0,
             leak_nj,
-            cand: Vec::with_capacity(8),
-            tracer,
             mark: CycleMark::default(),
             fault: FaultPlan::default(),
             phase: Phase::Run,
@@ -354,15 +598,15 @@ impl Machine {
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         // Preserve tallies already accumulated (a resumed machine
         // carries the counts of the run's earlier leg).
-        let counts = *self.tracer.counts();
-        self.tracer = Tracer::with_sink(sink);
-        self.tracer.restore_counts(counts);
+        let counts = *self.bus.tracer.counts();
+        self.bus.tracer = Tracer::with_sink(sink);
+        self.bus.tracer.restore_counts(counts);
     }
 
     /// Per-kind tallies of the events emitted so far (all zero when
     /// tracing is disabled).
     pub fn trace_counts(&self) -> &EventCounts {
-        self.tracer.counts()
+        self.bus.tracer.counts()
     }
 
     /// Current simulated cycle (on + off time).
@@ -399,7 +643,7 @@ impl Machine {
 
     /// Instructions retired so far.
     pub fn instructions(&self) -> u64 {
-        self.stats.instructions
+        self.bus.stats.instructions
     }
 
     /// Runs the program to completion across power cycles.
@@ -437,8 +681,8 @@ impl Machine {
     pub fn run_until(&mut self, target: u64) -> Result<RunStatus, SimError> {
         // The first power cycle starts implicitly (capacitor full); a
         // resumed machine keeps its restored count.
-        if self.stats.power_cycles == 0 {
-            self.stats.power_cycles = 1;
+        if self.bus.stats.power_cycles == 0 {
+            self.bus.stats.power_cycles = 1;
         }
         // The backup phase does not advance `cycle` until it completes,
         // so its pause check uses the growing window end instead; this
@@ -478,9 +722,9 @@ impl Machine {
                     if remaining > 0 {
                         // One dirty block: NVM writes serialize on the
                         // port, stretching the backup window.
-                        let done = self.nvm.write(self.cycle + backup_cycles);
+                        let done = self.bus.nvm.write(self.cycle + backup_cycles);
                         let w = self.cfg.nvm.block_write_nj();
-                        self.energy.backup_restore_nj += w;
+                        self.bus.energy.backup_restore_nj += w;
                         self.cap.consume_nj(w);
                         self.phase = Phase::Backup {
                             remaining: remaining - 1,
@@ -498,7 +742,7 @@ impl Machine {
                         self.reboot();
                     } else {
                         if self.cycle >= self.cfg.max_cycles {
-                            self.stats.total_cycles = self.cycle;
+                            self.bus.stats.total_cycles = self.cycle;
                             break Err(SimError::CycleLimit {
                                 max_cycles: self.cfg.max_cycles,
                             });
@@ -513,7 +757,7 @@ impl Machine {
                         self.cap
                             .harvest_nj(self.trace.harvest_nj_per_cycle(idx) * take as f64);
                         self.cycle = boundary;
-                        self.stats.off_cycles += take;
+                        self.bus.stats.off_cycles += take;
                     }
                 }
             }
@@ -524,7 +768,7 @@ impl Machine {
             // The final (still-running) power cycle gets its rollup too.
             self.emit_power_cycle_summary();
         }
-        self.tracer.flush();
+        self.bus.tracer.flush();
         match outcome {
             Ok(true) => Ok(RunStatus::Completed(Box::new(self.result()))),
             Ok(false) => Ok(RunStatus::Paused),
@@ -571,13 +815,13 @@ impl Machine {
             dpf: self.dpath.pf.export_state(),
             ithrottle: self.ipath.throttle.export_state(),
             dthrottle: self.dpath.throttle.export_state(),
-            nvm: self.nvm.export_state(),
+            nvm: self.bus.nvm.export_state(),
             cap_energy_nj: self.cap.energy_nj(),
-            stats: self.stats,
-            energy: self.energy,
-            pending_draw_nj: self.pending_draw_nj,
+            stats: self.bus.stats,
+            energy: self.bus.energy,
+            pending_draw_nj: self.bus.pending_draw_nj,
             mark: self.mark,
-            event_counts: *self.tracer.counts(),
+            event_counts: *self.bus.tracer.counts(),
             fault_skip_restore_reg: self.fault.skip_restore_reg.map(|r| r.index() as u32),
         }
     }
@@ -677,7 +921,7 @@ impl Machine {
             &snap.dthrottle,
             "dthrottle (data throttle)",
         )?;
-        import(&mut m.nvm, &snap.nvm, "nvm")?;
+        import(&mut m.bus.nvm, &snap.nvm, "nvm")?;
         let cap_max_nj = snap.cfg.capacitor.energy_at_nj(snap.cfg.capacitor.v_max);
         if !(snap.cap_energy_nj >= 0.0 && snap.cap_energy_nj <= cap_max_nj) {
             return Err(SnapshotError::State(format!(
@@ -688,12 +932,12 @@ impl Machine {
         m.cap = Capacitor::with_energy_nj(snap.cfg.capacitor, snap.cap_energy_nj);
 
         m.cycle = snap.cycle;
-        m.stats = snap.stats;
-        m.energy = snap.energy;
-        m.pending_draw_nj = snap.pending_draw_nj;
+        m.bus.stats = snap.stats;
+        m.bus.energy = snap.energy;
+        m.bus.pending_draw_nj = snap.pending_draw_nj;
         m.mark = snap.mark;
         m.phase = snap.phase;
-        m.tracer.restore_counts(snap.event_counts);
+        m.bus.tracer.restore_counts(snap.event_counts);
         m.fault.skip_restore_reg = match snap.fault_skip_restore_reg {
             None => None,
             Some(i) => Some(ehs_isa::Reg::from_index(i as usize).ok_or_else(|| {
@@ -706,13 +950,13 @@ impl Machine {
     /// Snapshot of all statistics so far.
     pub fn result(&self) -> SimResult {
         SimResult {
-            stats: self.stats,
-            energy: self.energy,
+            stats: self.bus.stats,
+            energy: self.bus.energy,
             icache: self.ipath.cache.stats(),
             dcache: self.dpath.cache.stats(),
             ibuf: self.ipath.buf.stats(),
             dbuf: self.dpath.buf.stats(),
-            nvm: self.nvm.stats(),
+            nvm: self.bus.nvm.stats(),
             ipex_i: self.ipath.throttle.stats(),
             ipex_d: self.dpath.throttle.stats(),
         }
@@ -739,8 +983,8 @@ impl Machine {
         } else {
             self.settle_skipped_observations();
             let v = self.cap.voltage();
-            self.observe_voltage(true, v);
-            self.observe_voltage(false, v);
+            self.ipath.observe_voltage(&mut self.bus, self.cycle, v);
+            self.dpath.observe_voltage(&mut self.bus, self.cycle, v);
             if self.cap.needs_backup() {
                 // Enter the outage phases; the main loop drives them so
                 // a pause (snapshot) can land mid-backup or mid-recharge.
@@ -751,16 +995,18 @@ impl Machine {
         }
 
         // Instruction fetch through the ICache.
+        let now = self.cycle;
         let pc = self.interp.pc();
         let block = block_of(pc);
         let same_block = block == self.last_fetch_block;
         #[cfg(test)]
         let same_block = same_block && !self.full_fetch_path;
         let fetch_cycles = if same_block {
-            self.fetch_resident(pc)
+            self.ipath.fetch_resident(&mut self.bus, pc)
         } else {
             self.last_fetch_block = block;
-            self.mem_access::<true>(pc, pc, false)
+            self.ipath
+                .mem_access::<true>(&mut self.bus, now, pc, pc, false)
         };
 
         // Execute (functional; the pre-decoded step carries its class).
@@ -768,40 +1014,22 @@ impl Machine {
         let class = step.class.index();
         let exec_cycles = self.lat_by_class[class];
         let compute_nj = self.nj_by_class[class];
-        self.energy.compute_nj += compute_nj;
-        self.pending_draw_nj += compute_nj;
+        self.bus.energy.compute_nj += compute_nj;
+        self.bus.pending_draw_nj += compute_nj;
 
         // Data access through the DCache.
         let mem_cycles = match step.access {
             Some(acc) => {
                 let is_write = acc.kind == ehs_isa::AccessKind::Write;
-                self.mem_access::<false>(step.pc, acc.addr, is_write)
+                self.dpath
+                    .mem_access::<false>(&mut self.bus, now, step.pc, acc.addr, is_write)
             }
             None => 0,
         };
 
-        self.stats.instructions += 1;
+        self.bus.stats.instructions += 1;
         self.advance_on(fetch_cycles + exec_cycles + mem_cycles);
         Ok(())
-    }
-
-    /// A fetch from the block fetched just before, with no power loss
-    /// in between: the block is resident (the previous fetch hit,
-    /// promoted or filled it, and only a fetch or a power loss changes
-    /// the ICache), and every instruction prefetcher ignores a hit on
-    /// the block it last saw (sequential dedupes on its last trigger
-    /// block; Markov and TIFS train on misses only), so the prefetcher
-    /// probe, throttle filter and issue loop of [`Machine::mem_access`]
-    /// would all be no-ops. What remains is the cache probe itself, with
-    /// the same energy adds in the same order.
-    #[inline]
-    fn fetch_resident(&mut self, pc: u32) -> u64 {
-        let access_nj = self.cfg.energy.cache_access_nj;
-        self.energy.cache_nj += access_nj;
-        self.pending_draw_nj += access_nj;
-        let hit = self.ipath.cache.access(pc, false);
-        debug_assert!(hit, "same-block fetch of {pc:#x} missed the ICache");
-        1
     }
 
     /// Hands the observations skipped since the policies were last
@@ -814,73 +1042,6 @@ impl Machine {
             self.ipath.throttle.skip_observations(owed);
             self.dpath.throttle.skip_observations(owed);
             self.vspan_len = self.vspan_left;
-        }
-    }
-
-    /// Feeds the capacitor voltage to one path's IPEX controller,
-    /// tracing threshold crossings and reissuing throttled prefetches
-    /// (§5.1 extension).
-    fn observe_voltage(&mut self, inst: bool, v: f64) {
-        let now = self.cycle;
-        let Machine {
-            ipath,
-            dpath,
-            nvm,
-            energy,
-            stats,
-            pending_draw_nj,
-            tracer,
-            ..
-        } = self;
-        let (path, pid) = if inst {
-            (ipath, PathId::Inst)
-        } else {
-            (dpath, PathId::Data)
-        };
-        // Querying the degree costs a couple of loads; only pay for it
-        // while tracing.
-        let old_degree = if tracer.is_enabled() {
-            path.throttle.current_degree()
-        } else {
-            None
-        };
-        let reissue = path.throttle.observe_voltage(v);
-        // The controller only returns a list when the §5.1 reissue
-        // extension drains its queue, so degree changes are detected by
-        // comparing Rcpd around the update rather than from the return
-        // value (otherwise crossings would go untraced under the default
-        // `reissue_throttled: false`).
-        if tracer.is_enabled() {
-            let new_degree = path.throttle.current_degree();
-            if new_degree != old_degree {
-                tracer.emit_with(|| SimEvent::ThresholdCross {
-                    cycle: now,
-                    path: pid,
-                    voltage: v,
-                    old_degree: old_degree.unwrap_or(0),
-                    new_degree: new_degree.unwrap_or(0),
-                });
-            }
-        }
-        if let Some(reissue) = reissue {
-            for block in reissue {
-                tracer.emit_with(|| SimEvent::PrefetchReissued {
-                    cycle: now,
-                    path: pid,
-                    block,
-                });
-                issue_prefetch(
-                    path,
-                    nvm,
-                    energy,
-                    stats,
-                    pending_draw_nj,
-                    now,
-                    block,
-                    tracer,
-                    pid,
-                );
-            }
         }
     }
 
@@ -945,161 +1106,21 @@ impl Machine {
         self.vwin_hi_nj = hi * (1.0 - MARGIN);
     }
 
-    /// One demand access through a cache path; returns its total cycles
-    /// (1-cycle hit plus any stall). Monomorphized per path (`INST` is a
-    /// const) so the fetch fast path specializes away the data-side
-    /// branches.
-    fn mem_access<const INST: bool>(&mut self, pc: u32, addr: u32, is_write: bool) -> u64 {
-        let now = self.cycle;
-        // Split borrows: the chosen path, NVM, energy, stats and the
-        // candidate buffer are all disjoint fields.
-        let Machine {
-            ipath,
-            dpath,
-            nvm,
-            energy,
-            stats,
-            pending_draw_nj,
-            cand,
-            cfg,
-            tracer,
-            ..
-        } = self;
-        let (path, pid) = if INST {
-            (ipath, PathId::Inst)
-        } else {
-            (dpath, PathId::Data)
-        };
-
-        // Cache probe.
-        let access_nj = cfg.energy.cache_access_nj;
-        energy.cache_nj += access_nj;
-        *pending_draw_nj += access_nj;
-        let hit = path.cache.access(addr, is_write);
-
-        let mut latency = 1u64;
-        let outcome = if hit {
-            AccessOutcome::CacheHit
-        } else if let Some(found) = path.buf.lookup(addr, now) {
-            // Useful prefetch: promote into the cache; a late prefetch
-            // stalls until the NVM read completes (§5.1 duplicate
-            // suppression).
-            let late_by = found.ready_at.saturating_sub(now);
-            latency += late_by;
-            tracer.emit_with(|| SimEvent::BufferHit {
-                cycle: now,
-                path: pid,
-                block: block_of(addr),
-                late_by,
-            });
-            if late_by > 0 {
-                tracer.emit_with(|| SimEvent::LatePrefetch {
-                    cycle: now,
-                    path: pid,
-                    block: block_of(addr),
-                    stall_cycles: late_by,
-                });
-            }
-            fill_cache(
-                path,
-                nvm,
-                energy,
-                pending_draw_nj,
-                now,
-                addr,
-                is_write,
-                access_nj,
-                tracer,
-                pid,
-            );
-            AccessOutcome::BufferHit
-        } else {
-            // Demand miss to NVM.
-            let done = nvm.read(now, ReadReason::Demand);
-            if INST {
-                stats.i_demand_reads += 1;
-            } else {
-                stats.d_demand_reads += 1;
-            }
-            // Dynamic block transfer plus the gated array's active-window
-            // leakage for the transfer duration.
-            let read_nj = cfg.nvm.block_read_nj()
-                + mw_to_nj_per_cycle(cfg.nvm.active_leak_mw()) * cfg.nvm.read_cycles as f64;
-            energy.memory_nj += read_nj;
-            *pending_draw_nj += read_nj;
-            latency += done - now;
-            fill_cache(
-                path,
-                nvm,
-                energy,
-                pending_draw_nj,
-                now,
-                addr,
-                is_write,
-                access_nj,
-                tracer,
-                pid,
-            );
-            AccessOutcome::Miss
-        };
-
-        // Prefetcher observation, IPEX filtering, and issue in priority
-        // order.
-        let event = if INST {
-            AccessEvent::fetch(addr, outcome)
-        } else {
-            AccessEvent::data(pc, addr, outcome, is_write)
-        };
-        cand.clear();
-        path.pf.observe(&event, cand);
-        let proposed = cand.len();
-        let kept = path.throttle.filter(cand);
-        let dropped = (proposed - kept) as u64;
-        if dropped > 0 {
-            tracer.emit_with(|| SimEvent::PrefetchThrottled {
-                cycle: now,
-                path: pid,
-                count: dropped,
-            });
-        }
-        for &block in cand.iter() {
-            issue_prefetch(
-                path,
-                nvm,
-                energy,
-                stats,
-                pending_draw_nj,
-                now,
-                block,
-                tracer,
-                pid,
-            );
-        }
-
-        let stall = latency - 1;
-        if INST {
-            stats.istall_cycles += stall;
-        } else {
-            stats.dstall_cycles += stall;
-        }
-        latency
-    }
-
     /// Advances on-time by `n` cycles: leakage + pending dynamic draw
     /// leave the capacitor, harvested energy enters it.
     fn advance_on(&mut self, n: u64) {
         let (li, ld, lc, _ln) = self.leak_nj;
         let nf = n as f64;
-        self.energy.cache_nj += (li + ld) * nf;
-        self.energy.compute_nj += lc * nf;
-        let draw = (li + ld + lc) * nf + self.pending_draw_nj;
-        self.pending_draw_nj = 0.0;
+        self.bus.energy.cache_nj += (li + ld) * nf;
+        self.bus.energy.compute_nj += lc * nf;
+        let draw = (li + ld + lc) * nf + self.bus.pending_draw_nj;
+        self.bus.pending_draw_nj = 0.0;
         self.cap.consume_nj(draw);
         let harvested = self.harvest_span(self.cycle, n);
         self.cap.harvest_nj(harvested);
         self.cycle += n;
-        self.stats.on_cycles += n;
-        self.stats.total_cycles = self.cycle;
+        self.bus.stats.on_cycles += n;
+        self.bus.stats.total_cycles = self.cycle;
     }
 
     /// Harvested energy (nJ) over `[start, start + n)` cycles.
@@ -1134,7 +1155,7 @@ impl Machine {
     fn begin_outage(&mut self) {
         let trigger_cycle = self.cycle;
         let trigger_v = self.cap.voltage();
-        self.tracer.emit_with(|| SimEvent::OutageBegin {
+        self.bus.tracer.emit_with(|| SimEvent::OutageBegin {
             cycle: trigger_cycle,
             voltage: trigger_v,
         });
@@ -1142,9 +1163,9 @@ impl Machine {
             self.enter_power_loss();
             return;
         }
-        let br_before = self.energy.backup_restore_nj;
+        let br_before = self.bus.energy.backup_restore_nj;
         let dirty = (self.dpath.cache.dirty_count() + self.ipath.cache.dirty_count()) as u64;
-        self.stats.checkpoint_blocks += dirty;
+        self.bus.stats.checkpoint_blocks += dirty;
         self.phase = Phase::Backup {
             remaining: dirty,
             backup_cycles: self.cfg.backup_base_cycles,
@@ -1156,22 +1177,20 @@ impl Machine {
     /// Completes a backup after the last dirty-block write: NVFF store,
     /// backup-window leakage, the `BackupDone` event, then power loss.
     fn finish_backup(&mut self, backup_cycles: u64, br_before: f64, dirty_total: u64) {
-        let bits =
-            CORE_NVFF_BITS + self.ipath.throttle.nvff_bits() + self.dpath.throttle.nvff_bits();
-        let store = self.cfg.energy.nvff_store_nj(bits);
-        self.energy.backup_restore_nj += store;
+        let store = self.cfg.energy.nvff_store_nj(self.nvff_bits());
+        self.bus.energy.backup_restore_nj += store;
         self.cap.consume_nj(store);
         // Leakage during the backup window, drawn from the reserve
         // (the NVM is active then: its leakage rides on the writes).
         let (li, ld, lc, ln) = self.leak_nj;
         let leak = (li + ld + lc + ln) * backup_cycles as f64;
-        self.energy.backup_restore_nj += leak;
+        self.bus.energy.backup_restore_nj += leak;
         self.cap.consume_nj(leak);
         self.cycle += backup_cycles;
-        self.stats.off_cycles += backup_cycles;
+        self.bus.stats.off_cycles += backup_cycles;
         let done_cycle = self.cycle;
-        let energy_nj = self.energy.backup_restore_nj - br_before;
-        self.tracer.emit_with(|| SimEvent::BackupDone {
+        let energy_nj = self.bus.energy.backup_restore_nj - br_before;
+        self.bus.tracer.emit_with(|| SimEvent::BackupDone {
             cycle: done_cycle,
             dirty_blocks: dirty_total,
             backup_cycles,
@@ -1182,48 +1201,48 @@ impl Machine {
 
     /// Volatile state is lost; the machine goes dark and recharges.
     fn enter_power_loss(&mut self) {
-        // Querying adaptation counters costs a few loads; only pay while
-        // tracing. Failure-time adaptations (e.g. the predictive policy
-        // recording the outage in its tables) surface as `PolicyAdapt`.
-        let adapt_before = if self.tracer.is_enabled() {
-            Some((
-                self.ipath.throttle.adaptations(),
-                self.dpath.throttle.adaptations(),
-            ))
-        } else {
-            None
-        };
-        let lost_i = self.ipath.power_loss();
-        let lost_d = self.dpath.power_loss();
+        // Failure-time adaptations (e.g. the predictive policy recording
+        // the outage in its tables) surface as `PolicyAdapt`.
+        let adapt_before = self.traced_adaptations();
+        self.ipath.power_loss(&mut self.bus, self.cycle);
+        self.dpath.power_loss(&mut self.bus, self.cycle);
         self.last_fetch_block = NO_BLOCK;
-        let loss_cycle = self.cycle;
-        for (lost, pid) in [(lost_i, PathId::Inst), (lost_d, PathId::Data)] {
-            if lost > 0 {
-                self.tracer.emit_with(|| SimEvent::LostUnused {
-                    cycle: loss_cycle,
-                    path: pid,
-                    count: lost,
-                });
-            }
-        }
-        if let Some((before_i, before_d)) = adapt_before {
-            self.emit_policy_adapt(before_i, before_d);
-        }
+        self.emit_policy_adapt(adapt_before);
         self.phase = Phase::Recharge;
     }
 
+    /// Bits the JIT checkpoint keeps in NVFFs: the core's registers plus
+    /// each path's throttling-policy registers.
+    fn nvff_bits(&self) -> u32 {
+        CORE_NVFF_BITS + self.ipath.throttle.nvff_bits() + self.dpath.throttle.nvff_bits()
+    }
+
+    /// Both policies' adaptation counters, read only while tracing
+    /// (querying them costs a few loads), for
+    /// [`Machine::emit_policy_adapt`] after a power-cycle event.
+    fn traced_adaptations(&self) -> Option<[u64; 2]> {
+        self.bus.tracer.is_enabled().then(|| {
+            [
+                self.ipath.throttle.adaptations(),
+                self.dpath.throttle.adaptations(),
+            ]
+        })
+    }
+
     /// Emits a [`SimEvent::PolicyAdapt`] per path whose adaptation
-    /// counter advanced past the given marks. Tracing-only helper.
-    fn emit_policy_adapt(&mut self, before_i: u64, before_d: u64) {
+    /// counter advanced past the marks of
+    /// [`Machine::traced_adaptations`]. Tracing-only helper.
+    fn emit_policy_adapt(&mut self, before: Option<[u64; 2]>) {
+        let Some(before) = before else {
+            return;
+        };
         let now = self.cycle;
-        for (before, after, pid) in [
-            (before_i, self.ipath.throttle.adaptations(), PathId::Inst),
-            (before_d, self.dpath.throttle.adaptations(), PathId::Data),
-        ] {
+        for (before, path) in before.into_iter().zip([&self.ipath, &self.dpath]) {
+            let after = path.throttle.adaptations();
             if after != before {
-                self.tracer.emit_with(|| SimEvent::PolicyAdapt {
+                self.bus.tracer.emit_with(|| SimEvent::PolicyAdapt {
                     cycle: now,
-                    path: pid,
+                    path: path.id,
                     adaptations: after,
                 });
             }
@@ -1234,49 +1253,38 @@ impl Machine {
     /// caches), reset per-power-cycle state, and resume execution.
     fn reboot(&mut self) {
         if !self.cfg.ideal_backup {
-            let bits =
-                CORE_NVFF_BITS + self.ipath.throttle.nvff_bits() + self.dpath.throttle.nvff_bits();
-            let restore = self.cfg.energy.nvff_restore_nj(bits);
-            self.energy.backup_restore_nj += restore;
+            let restore = self.cfg.energy.nvff_restore_nj(self.nvff_bits());
+            self.bus.energy.backup_restore_nj += restore;
             self.cap.consume_nj(restore);
             self.cycle += self.cfg.restore_cycles;
-            self.stats.off_cycles += self.cfg.restore_cycles;
+            self.bus.stats.off_cycles += self.cfg.restore_cycles;
             if let Some(r) = self.fault.skip_restore_reg {
                 // Injected bug: this register's NVFF "failed", so it
                 // comes back as zero instead of its checkpointed value.
                 self.interp.set_reg(r, 0);
             }
         }
-        self.nvm.power_cycle_reset(self.cycle);
+        self.bus.nvm.power_cycle_reset(self.cycle);
         // Reboot-time adaptations (e.g. IPEX moving its threshold
         // ladder) surface as `PolicyAdapt` events, like the
         // failure-time ones in `enter_power_loss`.
-        let adapt_before = if self.tracer.is_enabled() {
-            Some((
-                self.ipath.throttle.adaptations(),
-                self.dpath.throttle.adaptations(),
-            ))
-        } else {
-            None
-        };
+        let adapt_before = self.traced_adaptations();
         self.ipath.throttle.on_reboot();
         self.dpath.throttle.on_reboot();
-        if let Some((before_i, before_d)) = adapt_before {
-            self.emit_policy_adapt(before_i, before_d);
-        }
+        self.emit_policy_adapt(adapt_before);
         // The threshold ladders may have adapted and the controllers'
         // levels were reset: invalidate the band so the first
         // instruction of the new power cycle observes for real.
         self.vwin_lo_nj = f64::INFINITY;
         self.vwin_hi_nj = f64::NEG_INFINITY;
-        self.stats.total_cycles = self.cycle;
+        self.bus.stats.total_cycles = self.cycle;
         // Roll up the power cycle that just ended (its off-time — backup,
         // recharge, restore — is attributed to it), then begin the next.
         self.emit_power_cycle_summary();
-        self.stats.power_cycles += 1;
+        self.bus.stats.power_cycles += 1;
         let restore_cycle = self.cycle;
-        let power_cycle = self.stats.power_cycles;
-        self.tracer.emit_with(|| SimEvent::Restore {
+        let power_cycle = self.bus.stats.power_cycles;
+        self.bus.tracer.emit_with(|| SimEvent::Restore {
             cycle: restore_cycle,
             power_cycle,
         });
@@ -1287,7 +1295,7 @@ impl Machine {
     /// ending now and re-marks the statistics snapshot. No-op while
     /// tracing is disabled.
     fn emit_power_cycle_summary(&mut self) {
-        if !self.tracer.is_enabled() {
+        if !self.bus.tracer.is_enabled() {
             return;
         }
         let tally = |t: &AnyPolicy| {
@@ -1307,23 +1315,23 @@ impl Machine {
         };
         let ev = SimEvent::PowerCycleSummary {
             cycle: self.cycle,
-            power_cycle: self.stats.power_cycles,
-            on_cycles: self.stats.on_cycles - mark.on_cycles,
-            off_cycles: self.stats.off_cycles - mark.off_cycles,
-            cache_nj: self.energy.cache_nj - mark.cache_nj,
-            memory_nj: self.energy.memory_nj - mark.memory_nj,
-            compute_nj: self.energy.compute_nj - mark.compute_nj,
-            backup_restore_nj: self.energy.backup_restore_nj - mark.backup_restore_nj,
+            power_cycle: self.bus.stats.power_cycles,
+            on_cycles: self.bus.stats.on_cycles - mark.on_cycles,
+            off_cycles: self.bus.stats.off_cycles - mark.off_cycles,
+            cache_nj: self.bus.energy.cache_nj - mark.cache_nj,
+            memory_nj: self.bus.energy.memory_nj - mark.memory_nj,
+            compute_nj: self.bus.energy.compute_nj - mark.compute_nj,
+            backup_restore_nj: self.bus.energy.backup_restore_nj - mark.backup_restore_nj,
             throttle_rate,
         };
-        self.tracer.emit_with(move || ev);
+        self.bus.tracer.emit_with(move || ev);
         self.mark = CycleMark {
-            on_cycles: self.stats.on_cycles,
-            off_cycles: self.stats.off_cycles,
-            cache_nj: self.energy.cache_nj,
-            memory_nj: self.energy.memory_nj,
-            compute_nj: self.energy.compute_nj,
-            backup_restore_nj: self.energy.backup_restore_nj,
+            on_cycles: self.bus.stats.on_cycles,
+            off_cycles: self.bus.stats.off_cycles,
+            cache_nj: self.bus.energy.cache_nj,
+            memory_nj: self.bus.energy.memory_nj,
+            compute_nj: self.bus.energy.compute_nj,
+            backup_restore_nj: self.bus.energy.backup_restore_nj,
             ipex_seen: seen,
             ipex_throttled: throttled,
         };
@@ -1340,87 +1348,6 @@ fn import<P: Persist>(
     component
         .import_state(state)
         .map_err(|e| SnapshotError::State(format!("{field}: {e}")))
-}
-
-/// Installs a block in the cache, handling a dirty eviction (write-back
-/// to NVM: port traffic + energy, no pipeline stall — write-buffer
-/// semantics).
-#[allow(clippy::too_many_arguments)]
-fn fill_cache(
-    path: &mut MemPath,
-    nvm: &mut Nvm,
-    energy: &mut EnergyBreakdown,
-    pending: &mut f64,
-    now: u64,
-    addr: u32,
-    is_write: bool,
-    access_nj: f64,
-    tracer: &mut Tracer,
-    pid: PathId,
-) {
-    energy.cache_nj += access_nj;
-    *pending += access_nj;
-    tracer.emit_with(|| SimEvent::CacheFill {
-        cycle: now,
-        path: pid,
-        block: block_of(addr),
-    });
-    if let Some(wb) = path.cache.fill(addr, is_write) {
-        nvm.write(now);
-        let cfg = nvm.config();
-        let w = cfg.block_write_nj()
-            + mw_to_nj_per_cycle(cfg.active_leak_mw()) * cfg.write_cycles as f64;
-        energy.memory_nj += w;
-        *pending += w;
-        tracer.emit_with(|| SimEvent::Writeback {
-            cycle: now,
-            path: pid,
-            block: wb.block,
-        });
-    }
-}
-
-/// Issues one prefetch: skipped if the block is already cached or
-/// in-flight, otherwise an NVM read is scheduled and the buffer records
-/// the completion time.
-#[allow(clippy::too_many_arguments)]
-fn issue_prefetch(
-    path: &mut MemPath,
-    nvm: &mut Nvm,
-    energy: &mut EnergyBreakdown,
-    stats: &mut SimStats,
-    pending: &mut f64,
-    now: u64,
-    block: u32,
-    tracer: &mut Tracer,
-    pid: PathId,
-) {
-    if path.cache.contains(block) {
-        stats.redundant_cache_skips += 1;
-        return;
-    }
-    if path.buf.contains(block) {
-        stats.redundant_cache_skips += 1;
-        return;
-    }
-    let done = nvm.read(now, ReadReason::Prefetch);
-    let cfg = nvm.config();
-    let r = cfg.block_read_nj() + mw_to_nj_per_cycle(cfg.active_leak_mw()) * cfg.read_cycles as f64;
-    energy.memory_nj += r;
-    *pending += r;
-    tracer.emit_with(|| SimEvent::PrefetchIssued {
-        cycle: now,
-        path: pid,
-        block,
-        done_at: done,
-    });
-    if let InsertOutcome::InsertedEvicting(victim) = path.buf.insert(block, done) {
-        tracer.emit_with(|| SimEvent::EvictedUnused {
-            cycle: now,
-            path: pid,
-            block: victim,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -2065,6 +1992,35 @@ mod tests {
                 "adaptations must be announced as policy-adapt events"
             );
         }
+    }
+
+    /// IPEX's §5.1 reissue extension is the only way a voltage
+    /// observation issues prefetches, and no figure CI checks turns it
+    /// on: pin one whole run through it, result and event tallies both.
+    #[test]
+    fn reissue_extension_run_is_pinned() {
+        use ipex::{IpexConfig, PolicyConfig};
+        let cfg = SimConfig::builder()
+            .throttle_policy(
+                Ipex::Both,
+                PolicyConfig::Ipex(IpexConfig {
+                    reissue_throttled: true,
+                    ..IpexConfig::paper_default()
+                }),
+            )
+            .build()
+            .with_trace_mode(crate::TraceMode::Counting);
+        let program = ehs_workloads::by_name("qsort").unwrap().program();
+        let mut m = Machine::with_trace(cfg, &program, SimConfig::default_trace());
+        let r = m.run().unwrap();
+        let reissued = r.ipex_i.map_or(0, |s| s.reissued) + r.ipex_d.map_or(0, |s| s.reissued);
+        assert!(reissued > 0, "the reissue path never ran");
+        assert_eq!(m.trace_counts().prefetch_reissued, reissued);
+        assert_eq!(crate::canon::canonical_digest(&r), 0x9df9_4880_018c_aa9f);
+        assert_eq!(
+            crate::canon::canonical_digest(m.trace_counts()),
+            0xa029_e02c_bd04_a2f5
+        );
     }
 
     #[test]
